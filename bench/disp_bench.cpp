@@ -1,5 +1,4 @@
-// Unified experiment driver: selects registered sweeps by name, so one
-// binary replaces the per-experiment ones (which remain as thin wrappers).
+// Unified experiment driver: selects registered sweeps by name.
 //
 //   disp_bench --list
 //   disp_bench all --threads=8 --jsonl=run.jsonl
@@ -14,8 +13,7 @@
 namespace {
 
 void printUsage(std::ostream& os) {
-  os << "usage: disp_bench [--list] [--threads=N] [--run-threads=N]\n"
-        "                  [--seeds=a,b,c] [--jsonl=PATH]\n"
+  os << "usage: disp_bench [--list] [--threads=N] [--seeds=a,b,c] [--jsonl=PATH]\n"
         "                  [--trace=PATH | --trajectory=PATH] [--sample=N]\n"
         "                  [--graphs=SPEC;SPEC] [--placements=SPEC;SPEC]\n"
         "                  [--ks=a,b,c] [--faults=SPEC;SPEC] [--shard=I/N]\n"
@@ -44,9 +42,8 @@ void printUsage(std::ostream& os) {
         "--list-cells prints the enumeration (one JSON line per cell) without\n"
         "running anything; --stream-cells flushes the JSONL sink after every\n"
         "cell so rows are durable under kill -9 (disp_fleet drives both).\n"
-        "Exit codes: 0 ok, 1 sweep error, 2 usage, 3 shard owns zero cells.\n"
-        "--run-threads=N parallelizes inside each SYNC run (facts stay\n"
-        "byte-identical); requires --threads=1 — the two axes multiply.\n"
+        "Exit codes: 0 ok, 1 sweep error, 2 usage (including an unknown\n"
+        "flag), 3 shard owns zero cells.\n"
         "Algorithms are registry keys:\n";
   os << " ";
   for (const auto& key : disp::algorithmKeys()) os << " " << key;
@@ -60,6 +57,12 @@ void printUsage(std::ostream& os) {
 int main(int argc, char** argv) {
   try {
     const disp::Cli cli(argc, argv);
+    for (const auto& [key, value] : cli.flags()) {
+      if (!disp::exp::isBenchFlag(key)) {
+        std::cerr << "error: unknown flag --" << key << "\n";
+        return 2;
+      }
+    }
     if (cli.has("list") || cli.has("help")) {
       printUsage(std::cout);
       return 0;

@@ -28,8 +28,12 @@ int main(int argc, char** argv) {
             << "-chamber cave system\n\n";
 
   Table t({"scheduler", "epochs", "activations", "moves", "dispersed"});
+  RunOptions opts;
+  opts.algorithm = "rooted_async";
+  opts.seed = seed;
   for (const auto& sched : knownSchedulers()) {
-    const RunResult r = runDispersion(cavern, p, {Algorithm::RootedAsync, sched, seed});
+    opts.scheduler = sched;
+    const RunResult r = runSession(cavern, p, opts);
     t.row()
         .cell(sched)
         .cell(r.time)

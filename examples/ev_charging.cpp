@@ -33,7 +33,9 @@ int main(int argc, char** argv) {
   const std::string placement =
       cli.str("placement", "clusters:l=" + std::to_string(depots));
   const Placement p = PlacementSpec::parse(placement).place(city, cars, seed);
-  const RunResult r = runDispersion(city, p, {Algorithm::GeneralSync});
+  RunOptions opts;
+  opts.algorithm = "general_sync";
+  const RunResult r = runSession(city, p, opts);
 
   std::cout << "relocation " << (r.dispersed ? "succeeded" : "FAILED") << " in "
             << r.time << " rounds; total driving: " << r.totalMoves

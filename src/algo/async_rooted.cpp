@@ -67,7 +67,7 @@ const std::vector<AgentIx>& RootedAsyncDispersion::availableProbersAt(
   // A(w) \ {α(w)}: unsettled agents and guest helpers, idle (no pending
   // orders), ascending by ID so the leader (max ID) is drafted last.
   // The index bucket already holds exactly the followers and guests at w;
-  // only the fast-changing order flags are filtered here (DESIGN.md §9.4).
+  // only the fast-changing order flags are filtered here (DESIGN.md §9).
   // Scratch reuse is safe: every caller consumes the list before its next
   // co_await (single-threaded engine), so no interleaved call clobbers it.
   std::vector<AgentIx>& avail = probersScratch_;

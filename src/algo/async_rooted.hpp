@@ -116,7 +116,7 @@ class RootedAsyncDispersion {
   /// Scratch for availableProbersAt (consumed before any co_await).
   mutable std::vector<AgentIx> probersScratch_;
   /// Followers + guest helpers bucketed by node: availableProbersAt reads
-  /// the w bucket instead of scanning every occupant of w (DESIGN.md §9.4).
+  /// the w bucket instead of scanning every occupant of w (DESIGN.md §9).
   /// Maintained at settle/recruit/see-off; positions ride the move hook.
   IdleProberIndex proberIdx_;
   AsyncDispStats stats_;

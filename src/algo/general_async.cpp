@@ -128,7 +128,7 @@ const std::vector<AgentIx>& GeneralAsyncDispersion::availableProbersAt(
   // ascending by ID so the leader is drafted as late as its ID allows.
   // The index bucket already holds exactly the followers and guests at w;
   // the label and the fast-changing order flags are filtered here
-  // (DESIGN.md §9.4).  Scratch reuse is safe: every caller consumes the
+  // (DESIGN.md §9).  Scratch reuse is safe: every caller consumes the
   // list before its next co_await (single-threaded engine), so no
   // interleaved call clobbers it.
   std::vector<AgentIx>& avail = probersScratch_;

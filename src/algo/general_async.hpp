@@ -221,7 +221,7 @@ class GeneralAsyncDispersion {
   mutable std::vector<AgentIx> probersScratch_;
   /// Followers + guest helpers bucketed by node (label-agnostic; the query
   /// filters labels): availableProbersAt reads the w bucket instead of
-  /// scanning every occupant of w (DESIGN.md §9.4).
+  /// scanning every occupant of w (DESIGN.md §9).
   IdleProberIndex proberIdx_;
   /// Per-label unsettled count + position fingerprint: groupConsolidatedAt
   /// drops from an O(k) all-agent scan (run on every reassembly-wait

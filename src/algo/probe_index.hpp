@@ -1,7 +1,7 @@
 #pragma once
 // Probe indexes for the ASYNC protocols: incrementally maintained views
 // that replace the per-query O(k) scans in availableProbersAt and
-// groupConsolidatedAt (DESIGN.md §9.4).
+// groupConsolidatedAt (DESIGN.md §9).
 //
 // Both indexes are *membership* structures, not predicate caches: they
 // track the slow-changing part of each query (who is unsettled/a guest,

@@ -1,8 +1,7 @@
 #include "algo/runner.hpp"
 
-#include <utility>
-
 #include <memory>
+#include <utility>
 
 #include "algo/registry.hpp"
 #include "core/async_engine.hpp"
@@ -13,20 +12,6 @@
 #include "util/check.hpp"
 
 namespace disp {
-
-const std::string& algorithmKey(Algorithm a) {
-  static const std::string keys[] = {"rooted_sync", "rooted_async", "general_sync",
-                                     "general_async", "ks_sync", "ks_async"};
-  const auto ix = static_cast<std::size_t>(a);
-  DISP_CHECK(ix < std::size(keys), "unknown algorithm");
-  return keys[ix];
-}
-
-const std::string& algorithmName(Algorithm a) {
-  return algorithmDef(algorithmKey(a)).traits.display;
-}
-
-bool isAsync(Algorithm a) { return algorithmDef(algorithmKey(a)).traits.isAsync; }
 
 namespace {
 
@@ -141,7 +126,6 @@ RunResult runSession(const Graph& g, const Placement& placement,
     const std::uint64_t limit =
         opts.limit ? opts.limit : 20000ULL * k + 40ULL * g.edgeCount() + 400000;
     SyncEngine engine(g, placement.positions, placement.ids);
-    if (opts.runThreads != 1) engine.setRunThreads(opts.runThreads);
     EngineObserver obs = buildObserver(opts, /*async=*/false, &trajectory);
     if (obs.any()) engine.installObserver(std::move(obs));
     std::unique_ptr<FaultInjector> inj;
@@ -189,16 +173,6 @@ RunResult runScenario(const std::string& graphSpec, const std::string& placement
                                    PortLabeling::RandomPermutation);
   const Placement p = PlacementSpec::parse(placementSpec).place(g, k, opts.seed);
   return runSession(g, p, opts);
-}
-
-RunResult runDispersion(const Graph& g, const Placement& placement,
-                        const RunSpec& spec) {
-  RunOptions opts;
-  opts.algorithm = algorithmKey(spec.algorithm);
-  opts.scheduler = spec.scheduler;
-  opts.seed = spec.seed;
-  opts.limit = spec.limit;
-  return runSession(g, placement, opts);
 }
 
 }  // namespace disp

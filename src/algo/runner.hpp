@@ -34,9 +34,6 @@
 // perturb the run: an observed session reports facts identical to the
 // unobserved one at the same seed, and the zero-observer path is the exact
 // pre-observer hot path.
-//
-// The historical enum-keyed facade (Algorithm / RunSpec / runDispersion)
-// remains as a thin compatibility wrapper over runSession.
 
 #include <cstdint>
 #include <functional>
@@ -58,20 +55,14 @@ struct RunOptions {
   std::uint64_t seed = 1;
   /// Safety cap on rounds (SYNC) / activations (ASYNC); 0 = auto.
   std::uint64_t limit = 0;
-  /// Intra-run worker lanes for SYNC round execution (staging + commit):
-  /// 1 = serial (default), 0 = hardware concurrency, N = exactly N.  Facts,
-  /// traces and snapshots are byte-identical for every value (DESIGN.md
-  /// §9).  ASYNC algorithms ignore this — their activation stream is
-  /// inherently sequential.
-  unsigned runThreads = 1;
   /// Fault load (core/faults.hpp grammar; DESIGN.md §11): "none", or e.g.
   /// "crash:rate=0.25,restart=64", "churn:edges=4,every=32",
   /// "silent:count=2".  The schedule is materialized from this spec, the
-  /// instance (graph, k) and `seed` — deterministic and runThreads-
-  /// invariant.  Under a fault load the run cannot hard-fail: the
-  /// round/activation cap becomes RunResult::limitHit, a protocol
-  /// invariant violation becomes RunResult::protocolError, and
-  /// RunResult::recovered/recoveredAt score self-stabilization.
+  /// instance (graph, k) and `seed` — deterministic.  Under a fault load
+  /// the run cannot hard-fail: the round/activation cap becomes
+  /// RunResult::limitHit, a protocol invariant violation becomes
+  /// RunResult::protocolError, and RunResult::recovered/recoveredAt score
+  /// self-stabilization.
   std::string faults = "none";
 
   // --- observability (all optional; see core/trace.hpp) ---
@@ -122,35 +113,5 @@ struct RunOptions {
                                     const std::string& placementSpec,
                                     std::uint32_t k, const RunOptions& opts = {},
                                     std::uint32_t n = 0);
-
-// ------------------------------------------------------------- compat shim
-
-/// Historical enum-keyed algorithm menu; prefer the registry keys.
-enum class Algorithm {
-  RootedSync,
-  RootedAsync,
-  GeneralSync,
-  GeneralAsync,
-  KsSync,
-  KsAsync,
-};
-
-/// Historical run spec; prefer RunOptions.
-struct RunSpec {
-  Algorithm algorithm = Algorithm::RootedSync;
-  std::string scheduler = "round_robin";
-  std::uint64_t seed = 1;
-  std::uint64_t limit = 0;
-};
-
-/// Thin compatibility wrapper over runSession (no observers).
-[[nodiscard]] RunResult runDispersion(const Graph& g, const Placement& placement,
-                                      const RunSpec& spec);
-
-/// Registry key of a legacy enum value ("rooted_sync", ...).
-[[nodiscard]] const std::string& algorithmKey(Algorithm a);
-/// Historical display name ("RootedSyncDisp", ...); registry-backed.
-[[nodiscard]] const std::string& algorithmName(Algorithm a);
-[[nodiscard]] bool isAsync(Algorithm a);
 
 }  // namespace disp

@@ -1,18 +1,10 @@
 #include "core/sync_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "util/check.hpp"
 
 namespace disp {
-
-namespace {
-// Below this many staged moves the locked parallel commit costs more than
-// it saves; commit serially.
-constexpr std::size_t kParallelCommitMin = 256;
-}  // namespace
 
 SyncEngine::SyncEngine(const Graph& g, std::vector<NodeId> startPositions,
                        std::vector<AgentId> ids)
@@ -58,12 +50,10 @@ void SyncEngine::addFiber(Task task) {
 
 void SyncEngine::commitRound() {
   if (faults_ != nullptr) [[unlikely]] {
-    // Fault-aware commit: always serial (fault runs trade the parallel
-    // commit for one deterministic veto point — lane invariance is
-    // unaffected because staging already merged in lane order).  Crash
-    // vetoes happened at staging; here churned-down edges veto the
-    // traversal (the agent stays put, no Move event, no move counted) and
-    // the injector's excess counter tracks every applied move.
+    // Fault-aware commit.  Crash vetoes happened at staging; here
+    // churned-down edges veto the traversal (the agent stays put, no Move
+    // event, no move counted) and the injector's excess counter tracks
+    // every applied move.
     const bool churn = faults_->edgeFaultsActive();
     for (const auto& [a, p] : staged_) {
       const NodeId from = world_.positionOf(a);
@@ -76,19 +66,12 @@ void SyncEngine::commitRound() {
       }
     }
   } else if (trace_.tracing()) {
-    // Tracing commits stay serial regardless of lanes: the Move event
-    // stream interleaves with the commits themselves, and byte-identical
-    // traces matter more than speed on observed runs (DESIGN.md §9).
+    // Traced commit: one Move event per applied move, in staging order.
     for (const auto& [a, p] : staged_) {
       const NodeId from = world_.positionOf(a);
       world_.applyMoveStaged(a, p);
       trace_.emit({TraceEventKind::Move, round_, a, world_.positionOf(a), from, p});
     }
-  } else if (executor_ && staged_.size() >= kParallelCommitMin) {
-    // Order-independent within a round (each agent moves at most once and
-    // per-node mutations are locked), so lanes may commit their contiguous
-    // chunks concurrently; see World::applyMovesStagedParallel.
-    world_.applyMovesStagedParallel(*executor_, staged_);
   } else {
     for (const auto& [a, p] : staged_) {
       // Validated by stageMove against a position that cannot have changed
@@ -98,54 +81,6 @@ void SyncEngine::commitRound() {
   }
   staged_.clear();
   ++round_;  // also retires every staging stamp for the round
-}
-
-void SyncEngine::setRunThreads(unsigned threads) {
-  DISP_CHECK(!running_, "setRunThreads() during run()");
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, 256u);
-  if (threads <= 1) {
-    executor_.reset();
-  } else if (!executor_ || executor_->lanes() != threads) {
-    executor_ = std::make_unique<RoundExecutor>(threads);
-  }
-}
-
-void SyncEngine::stageParallel(const std::function<void(unsigned, LaneStager&)>& fn) {
-  const unsigned lanes = stagingLanes();
-  if (lanes == 1) {
-    // Serial: still route through a stager so callers have one code path,
-    // then merge inline.
-    if (laneStagers_.empty()) laneStagers_.resize(1);
-    LaneStager& only = laneStagers_[0];
-    only.tracing_ = trace_.tracing();
-    only.moves_.clear();
-    only.events_.clear();
-    fn(0, only);
-    for (const auto& [a, p] : only.moves_) stageMove(a, p);
-    for (TraceEvent ev : only.events_) {
-      ev.time = round_;
-      trace_.emit(ev);
-    }
-    return;
-  }
-  if (laneStagers_.size() < lanes) laneStagers_.resize(lanes);
-  for (unsigned l = 0; l < lanes; ++l) {
-    laneStagers_[l].tracing_ = trace_.tracing();
-    laneStagers_[l].moves_.clear();
-    laneStagers_[l].events_.clear();
-  }
-  executor_->run([&](unsigned lane) { fn(lane, laneStagers_[lane]); });
-  // Lane-order merge through the regular staging/trace paths: with
-  // contiguous per-lane chunks this reproduces the serial staging sequence
-  // exactly, validation included.
-  for (unsigned l = 0; l < lanes; ++l) {
-    for (const auto& [a, p] : laneStagers_[l].moves_) stageMove(a, p);
-    for (TraceEvent ev : laneStagers_[l].events_) {
-      ev.time = round_;
-      trace_.emit(ev);
-    }
-  }
 }
 
 void SyncEngine::installObserver(EngineObserver observer) {

@@ -17,18 +17,13 @@
 // cheap replay; move-heavy bursts (SYNC group hops) coalesce into one
 // rebuild per query instead of per-move sorted inserts.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace disp {
-
-class RoundExecutor;
 
 /// Globally unique agent identifier (the paper's a_i.ID ∈ [1, k^O(1)]).
 using AgentId = std::uint32_t;
@@ -92,16 +87,6 @@ class World {
     moveInternal(a, agents_[a].pos, p);
   }
 
-  /// Commits one round's staged batch with the lanes of `exec` (contiguous
-  /// chunk per lane).  Byte-identical to applying the batch serially: each
-  /// agent appears at most once (SYNC double-stage rule), per-node
-  /// link/count/log mutations are spinlocked, and one round's pending-log
-  /// ops on a node are add/removes of distinct agents — order-independent
-  /// under materialize()'s sorted replay, with log overflow decided by op
-  /// count alone.
-  void applyMovesStagedParallel(RoundExecutor& exec,
-                                const std::vector<std::pair<AgentIx, Port>>& moves);
-
  private:
   enum : std::uint8_t { kViewClean = 0, kViewPendingLog = 1, kViewRebuild = 2 };
   // Pending ops replayable in O(g) each stay worthwhile only in small
@@ -155,12 +140,7 @@ class World {
     return auxChunks_[slot / kAuxChunk][slot % kAuxChunk];
   }
 
-  /// Returns the node's ViewAux, allocating its slot on first use.  Safe
-  /// under the engine concurrency contract: a node's cell is only touched
-  /// by the lane that owns it (staging partition) or under its spinlock
-  /// (parallel commit); the pool itself (slot counter + chunk pointers) is
-  /// guarded by auxMutex_, and auxChunks_ is preallocated to its final
-  /// length so concurrent auxSlot() reads never race a vector growth.
+  /// Returns the node's ViewAux, allocating its slot on first use.
   [[nodiscard]] ViewAux& auxFor(NodeId v) const {
     const std::uint32_t slot = nodes_[v].aux;
     if (slot != kNoAux) return auxSlot(slot);
@@ -170,12 +150,6 @@ class World {
   ViewAux& auxAllocate(NodeId v) const;
 
   void materialize(NodeId v) const;
-
-  void moveLockedStaged(AgentIx a, Port p);
-  void lockNode(NodeId v) noexcept;
-  void unlockNode(NodeId v) noexcept {
-    nodeLocks_[v].clear(std::memory_order_release);
-  }
 
   void moveInternal(AgentIx a, NodeId from, Port p) {
     const NodeId to = graph_->neighbor(from, p);
@@ -210,7 +184,7 @@ class World {
     NodeCell& node = nodes_[v];
     if (node.viewState == kViewRebuild) return;  // log already abandoned
     // A non-rebuild state means materialize() ran for v, so its aux slot
-    // exists — logOp never allocates (and so never takes auxMutex_).
+    // exists — logOp never allocates.
     std::vector<AgentIx>& log = auxSlot(node.aux).log;
     if (log.size() >= kMaxPendingOps) {
       log.clear();
@@ -230,12 +204,7 @@ class World {
   // queried nodes ever get a slot.
   mutable std::vector<std::unique_ptr<ViewAux[]>> auxChunks_;
   mutable std::uint32_t auxCount_ = 0;
-  mutable std::mutex auxMutex_;
   std::uint64_t totalMoves_ = 0;
-  /// Per-node spinlocks for the parallel commit path, allocated lazily on
-  /// the first parallel batch (kept outside NodeCell so cells stay small
-  /// and copyable; serial runs never touch them).
-  std::unique_ptr<std::atomic_flag[]> nodeLocks_;
 };
 
 }  // namespace disp

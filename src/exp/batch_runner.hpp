@@ -32,11 +32,6 @@ struct BatchOptions {
   /// shardIndex.  Default 0/1 = run everything.
   unsigned shardIndex = 0;
   unsigned shardCount = 1;
-  /// Intra-run lanes per replicate (CaseSpec::runThreads; SYNC only).
-  /// Facts are lane-count invariant, so sweep results don't change — but
-  /// cell-level `threads` and intra-run lanes multiply, so keep threads ==
-  /// 1 when this is > 1 (disp_bench --run-threads enforces exactly that).
-  unsigned runThreads = 1;
   /// When set, invoked once per cell as soon as its last replicate lands
   /// (summary already computed), in completion order — NOT canonical order.
   /// Calls are serialized under a runner-internal mutex, so the callback

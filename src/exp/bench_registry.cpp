@@ -4,9 +4,9 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <streambuf>
-#include <thread>
 
 #include "algo/placement.hpp"
 #include "core/faults.hpp"
@@ -48,8 +48,6 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchAblationScheduler},
       {"wallclock", "E14: simulator wall-clock per run (telemetry)",
        &benchWallclock, /*heavy=*/false, /*shardable=*/false},
-      {"scaling", "E18: single-run wallclock vs --run-threads lanes (telemetry)",
-       &benchScaling, /*heavy=*/false, /*shardable=*/false},
       {"scale_real", "E19: web-scale ingest & peak-RSS campaign (n=10^6..10^7)",
        &benchScaleReal, /*heavy=*/true},
       {"trace_smoke", "E16: tiny observed cells (drives --trace / check_trace.sh)",
@@ -60,6 +58,11 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchFaults},
   };
   return kRegistry;
+}
+
+bool isBenchFlag(std::string_view name) {
+  return std::find(std::begin(kBenchFlags), std::end(kBenchFlags), name) !=
+         std::end(kBenchFlags);
 }
 
 const BenchDef* findBench(const std::string& name) {
@@ -219,24 +222,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     return 2;
   }
   ctx.batch.threads = static_cast<unsigned>(threads);
-  const std::int64_t runThreads = cli.integer("run-threads", 1);
-  if (runThreads < 0 || runThreads > 256) {
-    std::cerr << "error: --run-threads must be in [0, 256] (0 = hardware concurrency)\n";
-    return 2;
-  }
-  ctx.batch.runThreads = static_cast<unsigned>(runThreads);
-  // Nested-parallelism guard: cell-level workers (--threads) and intra-run
-  // lanes (--run-threads) multiply into oversubscription.  0 means
-  // hardware concurrency for both flags, so resolve before comparing.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effCell = ctx.batch.threads == 0 ? hw : ctx.batch.threads;
-  const unsigned effRun = ctx.batch.runThreads == 0 ? hw : ctx.batch.runThreads;
-  if (effRun > 1 && effCell > 1) {
-    std::cerr << "error: --run-threads=" << runThreads
-              << " requires --threads=1 (cell-level and intra-run "
-                 "parallelism multiply; pick one axis)\n";
-    return 2;
-  }
   try {
     applyAxisOverrides(ctx, cli);
   } catch (const std::exception& e) {
@@ -396,16 +381,6 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
     return kEmptyShardExitCode;
   }
   return 0;
-}
-
-int benchMain(const std::string& name, int argc, const char* const* argv) {
-  try {
-    const Cli cli(argc, argv);
-    return runBenches({name}, cli);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
 }
 
 }  // namespace disp::exp

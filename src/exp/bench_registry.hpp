@@ -1,20 +1,9 @@
 #pragma once
-// Named registry of experiment suites + the shared bench main.
+// Named registry of experiment suites; `disp_bench` selects them by name.
 //
-// Every former bench binary is one registered suite; `disp_bench` selects
-// suites by name and the per-suite binaries are one-line wrappers:
-//
-//   int main(int argc, char** argv) {
-//     return disp::exp::benchMain("table1_sync_rooted", argc, argv);
-//   }
-//
-// Common flags (parsed by benchMain / runBenches):
+// Common flags (parsed by runBenches; kBenchFlags lists every name
+// disp_bench accepts):
 //   --threads=N      worker threads (0 = hardware concurrency, the default)
-//   --run-threads=N  intra-run worker lanes for SYNC rounds (1 = serial,
-//                    the default; 0 = hardware concurrency).  Facts are
-//                    lane-count invariant (DESIGN.md §9).  Requires
-//                    --threads=1: the two parallelism axes multiply
-//                    (runBenches rejects nested parallelism)
 //   --seeds=a,b,c    replicate seeds overriding each suite's single
 //                    historical seed; time cells become per-cell means and
 //                    tables gain per-cell "±95" CI columns
@@ -32,6 +21,8 @@
 //   --placements=S;S override the placement axis with ';'-separated
 //                    PlacementSpec strings ('rooted;adversarial:far')
 //   --ks=a,b,c       override the k axis (suites that take it)
+//   --faults=S;S     override the fault-load axis with ';'-separated
+//                    FaultSpec strings (core/faults.hpp grammar)
 //   --shard=I/N      run only cells with index ≡ I (mod N) of each suite's
 //                    deterministic enumeration; merge the JSONL shard
 //                    outputs with scripts/merge_jsonl.sh (or let the
@@ -51,6 +42,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,7 +61,7 @@ struct BenchDef {
   /// True when every cell the suite runs goes through BatchRunner's
   /// canonical enumeration, so --shard partitions it disjointly and
   /// --list-cells can enumerate it without simulating.  Hand-rolled loops
-  /// (the fig suites, wallclock, scaling) are not shardable: every shard
+  /// (the fig suites, wallclock) are not shardable: every shard
   /// would rerun them whole, and runBenches rejects the combination.
   bool shardable = true;
 };
@@ -106,12 +98,19 @@ struct ListedCell {
 [[nodiscard]] std::vector<ListedCell> listBenchCells(
     const std::vector<std::string>& names, const Cli& cli);
 
+/// Every flag name disp_bench accepts (without the leading "--"): the
+/// common flags above plus --list/--help.  disp_bench rejects any other
+/// flag, and disp_fleet checks each flag it forwards against this list.
+inline constexpr std::string_view kBenchFlags[] = {
+    "list",   "help",       "threads", "seeds",  "jsonl",
+    "trace",  "trajectory", "sample",  "graphs", "placements",
+    "faults", "ks",         "shard",   "stream-cells", "list-cells"};
+
+/// True iff `name` (without the leading "--") is in kBenchFlags.
+[[nodiscard]] bool isBenchFlag(std::string_view name);
+
 /// Runs the named suites with options from `cli`; returns a process exit
 /// code (diagnostics on stderr).
 [[nodiscard]] int runBenches(const std::vector<std::string>& names, const Cli& cli);
-
-/// Entry point for the thin per-suite binaries.
-[[nodiscard]] int benchMain(const std::string& name, int argc,
-                            const char* const* argv);
 
 }  // namespace disp::exp

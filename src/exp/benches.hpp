@@ -2,8 +2,7 @@
 // The named experiment suites (the former hand-rolled bench binaries, the
 // large-k scale sweep and the ad-hoc scenario driver), each a declarative
 // body over the sweep/batch/sink subsystem.
-// Registered by name in bench_registry.cpp; the bench/*.cpp binaries are
-// thin one-line mains over benchMain().
+// Registered by name in bench_registry.cpp and run through disp_bench.
 
 #include "exp/sink.hpp"
 
@@ -18,10 +17,6 @@ void benchTable1Memory(BenchContext& ctx);        // E5
 
 // Large-k scale sweep, streams cells to JSONL (benches_scale.cpp).
 void benchTable1Scale(BenchContext& ctx);         // E15
-
-// Single-run wallclock vs --run-threads lanes on the largest table1_scale
-// cell; enforces lane-count fact invariance (benches_scale.cpp).
-void benchScaling(BenchContext& ctx);             // E18
 
 // Web-scale ingest & memory campaign: peak-RSS-annotated general SYNC
 // cells on 10^6..10^7-node graphs (benches_scale.cpp).

@@ -139,13 +139,11 @@ void benchWallclock(BenchContext& ctx) {
     const char* sched;
     std::uint32_t k;
     std::uint32_t clusters;
-    unsigned runThreads = 1;
   };
   const std::vector<Config> configs{
       {"rooted_sync", "round_robin", 64, 1},
       {"rooted_sync", "round_robin", 128, 1},
       {"rooted_sync", "round_robin", 256, 1},
-      {"rooted_sync", "round_robin", 256, 1, 4},  // intra-run lanes (E18 has more)
       {"rooted_async", "uniform", 64, 1},
       {"rooted_async", "uniform", 128, 1},
       {"ks_sync", "round_robin", 64, 1},
@@ -154,7 +152,7 @@ void benchWallclock(BenchContext& ctx) {
       {"general_sync", "round_robin", 64, 4},
       {"general_sync", "round_robin", 128, 4},
   };
-  Table t({"algo", "sched", "k", "l", "rt", "runs", "total_ms", "ms/run", "Mact/s",
+  Table t({"algo", "sched", "k", "l", "runs", "total_ms", "ms/run", "Mact/s",
            "Mmoves/s", "peak_rss_mb"});
   for (const Config& cfg : configs) {
     // Per-config peak RSS (telemetry like ms): watermark reset before the
@@ -173,7 +171,6 @@ void benchWallclock(BenchContext& ctx) {
       opts.algorithm = cfg.algo;
       opts.scheduler = cfg.sched;
       opts.seed = 5;
-      opts.runThreads = cfg.runThreads;
       const RunResult r = runSession(g, p, opts);
       DISP_CHECK(r.dispersed, "wallclock config failed to disperse");
       ++runs;
@@ -191,7 +188,6 @@ void benchWallclock(BenchContext& ctx) {
         .cell(cfg.sched)
         .cell(std::uint64_t{cfg.k})
         .cell(std::uint64_t{cfg.clusters})
-        .cell(std::uint64_t{cfg.runThreads})
         .cell(runs)
         .cell(elapsedMs, 1)
         .cell(elapsedMs / double(runs), 3)

@@ -38,7 +38,6 @@ RunRecord runCell(const Graph& g, const CaseSpec& c) {
   opts.scheduler = c.scheduler;
   opts.seed = c.seed;
   opts.limit = c.limit;
-  opts.runThreads = c.runThreads;
   opts.faults = c.faults;
   if (c.observe) c.observe(opts);
   RunRecord out;

@@ -66,9 +66,6 @@ struct CaseSpec {
   double nOverK = 2.0;  ///< default sizing n = k * nOverK for size-unbound specs
   PortLabeling labeling = PortLabeling::RandomPermutation;
   std::uint64_t limit = 0;  ///< round/activation cap; 0 = auto (RunOptions)
-  /// Intra-run worker lanes (RunOptions::runThreads): 1 = serial, 0 =
-  /// hardware.  SYNC only; facts are lane-count invariant.
-  unsigned runThreads = 1;
   /// Fault load (FaultSpec string, core/faults.hpp; "none" = fault-free).
   std::string faults = "none";
   /// Observer plumbing: when set, invoked on the run's RunOptions right

@@ -13,15 +13,12 @@ namespace disp::fleet {
 namespace {
 
 const char* const kTelemetry[] = {
-    "ms",         "speedup",   "Mact/s",          "Mmoves/s",
-    "load_ms",    "peak_rss_mb", "rss_lb_mb",     "rss_ratio",
-    "hardware_threads", "oversubscribed", "lanes",
+    "ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio",
 };
 
 const char* const kCoordinates[] = {
     "sweep", "table", "family", "graph", "file",  "k",
     "l",     "placement", "sched", "algo", "faults", "seed",
-    "run_threads",
 };
 
 bool isCoordinateColumn(const std::string& column) {

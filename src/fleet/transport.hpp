@@ -1,23 +1,17 @@
 #pragma once
-// WorkerTransport — how the coordinator starts and watches worker
-// processes, abstracted so shard dispatch is transport-agnostic.
+// Worker transport — how the coordinator starts and watches worker
+// processes.
 //
 // Fleet spec grammar (parse errors throw std::invalid_argument):
 //
 //   local:P            P-slot pool of local disp_bench processes
 //                      (fork/exec; stdout+stderr to a per-attempt log)
-//   ssh:host1,host2    one slot per host over ssh — parsed and slot-
-//                      accounted today, spawn() throws "stub": the
-//                      coordinator/manifest/collector machinery is
-//                      transport-agnostic, and this is the seam a real
-//                      remote transport plugs into
 //
 // The fail-stop model is deliberate: a worker either exits (code/signal
 // observable via poll) or makes progress observable through its shard's
 // JSONL growth; the supervisor never inspects worker internals.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,69 +26,38 @@ struct WorkerStatus {
   int signal = 0;
 };
 
-class WorkerTransport {
+/// Local process pool: how the coordinator starts and watches its worker
+/// processes.  Handles are PIDs; poll is waitpid(WNOHANG).
+class LocalTransport {
  public:
-  virtual ~WorkerTransport() = default;
+  explicit LocalTransport(std::uint32_t slots);
 
-  /// Human-readable transport description ("local:4", "ssh:a,b").
-  [[nodiscard]] virtual std::string describe() const = 0;
-  /// Concurrent worker slots this transport offers.
-  [[nodiscard]] virtual std::uint32_t slots() const = 0;
-  /// Short per-slot label recorded in the manifest ("local:2", "ssh:b").
-  [[nodiscard]] virtual std::string slotName(std::uint32_t slot) const = 0;
+  /// Fleet spec this pool was parsed from ("local:4"); recorded in the
+  /// manifest.
+  [[nodiscard]] std::string describe() const;
+  /// Concurrent worker slots.
+  [[nodiscard]] std::uint32_t slots() const { return slots_; }
+  /// Short per-slot label recorded in the manifest ("local:2").
+  [[nodiscard]] std::string slotName(std::uint32_t slot) const;
 
   /// Launches `argv` (argv[0] = binary) on `slot`, redirecting stdout and
   /// stderr to `logPath` (append).  Returns an opaque worker handle.
   /// Throws std::runtime_error on launch failure.
-  [[nodiscard]] virtual std::uint64_t spawn(const std::vector<std::string>& argv,
-                                            const std::string& logPath,
-                                            std::uint32_t slot) = 0;
+  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
+                                    const std::string& logPath, std::uint32_t slot);
 
   /// Non-blocking status check for a handle returned by spawn().
-  [[nodiscard]] virtual WorkerStatus poll(std::uint64_t handle) = 0;
+  [[nodiscard]] WorkerStatus poll(std::uint64_t handle);
 
   /// Hard-kills the worker (SIGKILL semantics — the crash-failure model);
   /// the exit must still be observed via poll() to release the handle.
-  virtual void terminate(std::uint64_t handle) = 0;
-};
-
-/// Local process pool: handles are PIDs, poll is waitpid(WNOHANG).
-class LocalTransport final : public WorkerTransport {
- public:
-  explicit LocalTransport(std::uint32_t slots);
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::uint32_t slots() const override { return slots_; }
-  [[nodiscard]] std::string slotName(std::uint32_t slot) const override;
-  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
-                                    const std::string& logPath,
-                                    std::uint32_t slot) override;
-  [[nodiscard]] WorkerStatus poll(std::uint64_t handle) override;
-  void terminate(std::uint64_t handle) override;
+  void terminate(std::uint64_t handle);
 
  private:
   std::uint32_t slots_;
 };
 
-/// Remote transport stub: fleet-spec parsing and slot accounting only.
-class SshTransport final : public WorkerTransport {
- public:
-  explicit SshTransport(std::vector<std::string> hosts);
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] std::uint32_t slots() const override;
-  [[nodiscard]] std::string slotName(std::uint32_t slot) const override;
-  [[nodiscard]] std::uint64_t spawn(const std::vector<std::string>& argv,
-                                    const std::string& logPath,
-                                    std::uint32_t slot) override;
-  [[nodiscard]] WorkerStatus poll(std::uint64_t handle) override;
-  void terminate(std::uint64_t handle) override;
-
-  [[nodiscard]] const std::vector<std::string>& hosts() const { return hosts_; }
-
- private:
-  std::vector<std::string> hosts_;
-};
-
-/// Parses a fleet spec ("local:4", "ssh:a,b") into a transport.
-[[nodiscard]] std::unique_ptr<WorkerTransport> makeTransport(const std::string& spec);
+/// Parses a fleet spec ("local:4") into a transport.
+[[nodiscard]] LocalTransport makeTransport(const std::string& spec);
 
 }  // namespace disp::fleet

@@ -33,8 +33,8 @@ class Cli {
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& program() const { return program_; }
   /// All parsed flags in sorted key order (bare flags map to "").  Lets a
-  /// wrapper (disp_fleet) forward unrecognized flags verbatim and
-  /// deterministically.
+  /// driver reject unknown flags, and disp_fleet forward its workers'
+  /// flags verbatim and deterministically.
   [[nodiscard]] const std::map<std::string, std::string>& flags() const { return flags_; }
 
  private:

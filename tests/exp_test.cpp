@@ -1,6 +1,6 @@
 // Tests for the src/exp/ experiment driver: sweep enumeration, the batch
 // runner's thread-count invariance (bit-identical cells for 1 vs 4+
-// workers), concurrent runDispersion calls on shared Graph instances, and
+// workers), concurrent runSession calls on shared Graph instances, and
 // the JSONL sink format.  The *Concurrent* tests are the TSan targets.
 #include <gtest/gtest.h>
 
@@ -182,6 +182,48 @@ TEST(BatchRunner, ParallelIsBitIdenticalToSerial) {
   }
 }
 
+// Cell-level parallelism under fault injection: each run draws its fault
+// schedule from its own seed, so the verdicts (cap, recovery, protocol
+// error) and facts of a faulted sweep do not depend on the worker count —
+// on every registered protocol.
+TEST(BatchRunner, FaultSweepIsBitIdenticalAcrossThreadCounts) {
+  SweepSpec spec;
+  spec.name = "faults";
+  spec.graphs = {"er"};
+  spec.ks = {24};
+  spec.algorithms = {"rooted_sync",  "general_sync",  "ks_sync",
+                     "rooted_async", "general_async", "ks_async"};
+  spec.faults = {"none", "crash:rate=0.25,restart=64"};
+  spec.seeds = {17, 18};
+  spec.limit = 200000;
+  const SweepResult serial = runnerWith(1).run(spec);
+  const SweepResult parallel = runnerWith(4).run(spec);
+  ASSERT_EQ(serial.cells.size(), spec.cellCount());
+  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+  std::uint64_t faultsInjected = 0;
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    const Cell& a = serial.cells[i];
+    const Cell& b = parallel.cells[i];
+    EXPECT_EQ(a.key, b.key);
+    ASSERT_EQ(a.replicates.size(), b.replicates.size());
+    for (std::size_t r = 0; r < a.replicates.size(); ++r) {
+      const std::string what = a.key.describe() + " seed=" +
+                               std::to_string(spec.seeds[r]);
+      const RunResult& x = a.replicates[r].run;
+      const RunResult& y = b.replicates[r].run;
+      EXPECT_EQ(a.replicates[r].error, b.replicates[r].error) << what;
+      expectSameRun(x, y, what);
+      EXPECT_EQ(x.limitHit, y.limitHit) << what;
+      EXPECT_EQ(x.recovered, y.recovered) << what;
+      EXPECT_EQ(x.recoveredAt, y.recoveredAt) << what;
+      EXPECT_EQ(x.faultsInjected, y.faultsInjected) << what;
+      EXPECT_EQ(x.protocolError, y.protocolError) << what;
+      faultsInjected += x.faultsInjected;
+    }
+  }
+  EXPECT_GT(faultsInjected, 0u);
+}
+
 TEST(BatchRunner, MatchesDirectRunCellResults) {
   SweepSpec spec;
   spec.name = "direct";
@@ -220,9 +262,9 @@ TEST(BatchRunner, RecordsLimitErrorsInsteadOfThrowing) {
 }
 
 // The re-entrancy guarantee behind the whole driver (DESIGN.md §5):
-// concurrent runDispersion calls sharing immutable Graph instances must
+// concurrent runSession calls sharing immutable Graph instances must
 // produce exactly the per-seed results of serial runs.
-TEST(RunDispersion, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
+TEST(RunSession, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
   const Graph er = makeGraph("er", 48, 42);
   const Graph star = makeGraph("star", 48, 42);
   struct Config {
@@ -272,132 +314,6 @@ TEST(RunDispersion, ConcurrentRunsOnSharedGraphsAreBitIdentical) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     expectSameRun(serial[i], concurrent[i], "config " + std::to_string(i));
     EXPECT_TRUE(serial[i].dispersed) << i;
-  }
-}
-
-// The --run-threads contract (DESIGN.md §9): intra-run lanes change
-// wallclock only.  Facts AND the typed trace stream must be byte-identical
-// between serial and 8-lane runs, on every registered protocol — SYNC ones
-// exercise the staged round executor; ASYNC ones pin the documented
-// "ignored" behavior.  Runs under the TSan CI job via the *Parallel* filter.
-TEST(RunThreadsParallel, FactsAndTracesAreLaneCountInvariantOnEveryAlgorithm) {
-  struct Case {
-    const char* algo;
-    const char* placement;
-    std::uint32_t k;
-  };
-  // SYNC sizes cross the engine's parallel staging/commit thresholds
-  // (>=256 staged moves or oscillators per round); ASYNC sizes stay small
-  // (lanes are a no-op there, and epochs are expensive).
-  const Case cases[] = {
-      {"rooted_sync", "rooted", 400},      {"general_sync", "clusters:l=4", 300},
-      {"ks_sync", "rooted", 300},          {"rooted_async", "rooted", 32},
-      {"general_async", "clusters:l=3", 32}, {"ks_async", "rooted", 32},
-  };
-  const auto runWithLanes = [](const Case& c, unsigned lanes,
-                               std::vector<TraceEvent>& events) {
-    RunOptions opts;
-    opts.algorithm = c.algo;
-    opts.seed = 5;
-    opts.runThreads = lanes;
-    opts.onEvent = [&events](const TraceEvent& e) { events.push_back(e); };
-    return runScenario("er", c.placement, c.k, opts);
-  };
-  for (const Case& c : cases) {
-    std::vector<TraceEvent> serialEvents, parallelEvents;
-    const RunResult serial = runWithLanes(c, 1, serialEvents);
-    const RunResult parallel = runWithLanes(c, 8, parallelEvents);
-    expectSameRun(serial, parallel, c.algo);
-    EXPECT_TRUE(serial.dispersed) << c.algo;
-    ASSERT_EQ(serialEvents.size(), parallelEvents.size()) << c.algo;
-    for (std::size_t i = 0; i < serialEvents.size(); ++i) {
-      const TraceEvent& a = serialEvents[i];
-      const TraceEvent& b = parallelEvents[i];
-      const bool same = a.kind == b.kind && a.time == b.time && a.agent == b.agent &&
-                        a.node == b.node && a.a == b.a && a.b == b.b;
-      ASSERT_TRUE(same) << c.algo << " trace event " << i << " drifted";
-    }
-  }
-}
-
-// Lane invariance under fault injection: the fault schedule is drawn up
-// front from the run seed and the fault-aware staging/commit paths are
-// serial, so a crash-restart run reports byte-identical facts, verdicts
-// AND typed event streams (fault events included) at every lane count —
-// on every registered protocol.  SYNC protocols whose belief desyncs
-// report the same protocolError either way.
-TEST(RunThreadsParallel, FaultRunsAreLaneCountInvariantOnEveryAlgorithm) {
-  struct Case {
-    const char* algo;
-    std::uint32_t k;
-    std::uint64_t limit;
-  };
-  const Case cases[] = {
-      {"rooted_sync", 400, 4000},   {"general_sync", 300, 4000},
-      {"ks_sync", 300, 4000},       {"rooted_async", 24, 200000},
-      {"general_async", 24, 200000}, {"ks_async", 24, 200000},
-  };
-  const auto runWithLanes = [](const Case& c, unsigned lanes,
-                               std::vector<TraceEvent>& events) {
-    RunOptions opts;
-    opts.algorithm = c.algo;
-    opts.seed = 17;
-    opts.limit = c.limit;
-    opts.runThreads = lanes;
-    opts.faults = "crash:rate=0.25,restart=64";
-    opts.onEvent = [&events](const TraceEvent& e) { events.push_back(e); };
-    return runScenario("er", "rooted", c.k, opts);
-  };
-  for (const Case& c : cases) {
-    std::vector<TraceEvent> serialEvents, parallelEvents;
-    const RunResult serial = runWithLanes(c, 1, serialEvents);
-    const RunResult parallel = runWithLanes(c, 8, parallelEvents);
-    expectSameRun(serial, parallel, c.algo);
-    EXPECT_EQ(serial.limitHit, parallel.limitHit) << c.algo;
-    EXPECT_EQ(serial.recovered, parallel.recovered) << c.algo;
-    EXPECT_EQ(serial.recoveredAt, parallel.recoveredAt) << c.algo;
-    EXPECT_EQ(serial.faultsInjected, parallel.faultsInjected) << c.algo;
-    EXPECT_EQ(serial.protocolError, parallel.protocolError) << c.algo;
-    EXPECT_GT(serial.faultsInjected, 0u) << c.algo;
-    ASSERT_EQ(serialEvents.size(), parallelEvents.size()) << c.algo;
-    for (std::size_t i = 0; i < serialEvents.size(); ++i) {
-      const TraceEvent& a = serialEvents[i];
-      const TraceEvent& b = parallelEvents[i];
-      const bool same = a.kind == b.kind && a.time == b.time && a.agent == b.agent &&
-                        a.node == b.node && a.a == b.a && a.b == b.b;
-      ASSERT_TRUE(same) << c.algo << " fault-run trace event " << i << " drifted";
-    }
-  }
-}
-
-// BatchOptions.runThreads plumbs through CaseSpec into every run of a
-// sweep; the cells must stay bit-identical to the all-serial sweep.
-TEST(RunThreadsParallel, BatchRunnerSweepIsRunThreadsInvariant) {
-  SweepSpec spec;
-  spec.name = "rt";
-  spec.graphs = {"er"};
-  spec.ks = {300};
-  spec.algorithms = {"rooted_sync"};
-  spec.seeds = {1, 2};
-
-  BatchOptions serialOpts;
-  serialOpts.threads = 1;
-  const SweepResult serial = BatchRunner(serialOpts).run(spec);
-
-  BatchOptions lanedOpts;
-  lanedOpts.threads = 1;  // one axis at a time (disp_bench enforces this)
-  lanedOpts.runThreads = 4;
-  const SweepResult laned = BatchRunner(lanedOpts).run(spec);
-
-  ASSERT_EQ(serial.cells.size(), laned.cells.size());
-  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-    const Cell& a = serial.cells[i];
-    const Cell& b = laned.cells[i];
-    ASSERT_EQ(a.replicates.size(), b.replicates.size());
-    for (std::size_t r = 0; r < a.replicates.size(); ++r) {
-      expectSameRun(a.replicates[r].run, b.replicates[r].run,
-                    a.key.describe() + " seed=" + std::to_string(spec.seeds[r]));
-    }
   }
 }
 

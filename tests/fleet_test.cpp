@@ -1,6 +1,7 @@
 // Tests for the src/fleet/ sweep fabric: the JSON value model, manifest
 // round-trip + corruption rejection, the collector's dedup/divergence
-// audit, transport spec parsing, --shard parse hardening, and — when the
+// audit, transport spec parsing and local worker spawn/poll/kill, the
+// disp_bench flag list, --shard parse hardening, and — when the
 // bench binaries are built (DISP_BENCH_BIN / DISP_FLEET_BIN) — subprocess
 // end-to-end runs: a sharded fleet campaign must reproduce the unsharded
 // reference byte-identically in fact columns, survive a mid-shard kill via
@@ -8,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/bench_registry.hpp"
@@ -30,7 +34,10 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "fleet_" + name;
+  // Per-process directory: ctest runs every test in its own process, and
+  // several of them build the shared reference run concurrently.
+  const std::string dir = ::testing::TempDir() + "fleet_" +
+                          std::to_string(::getpid()) + "_" + name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -329,26 +336,72 @@ TEST(Collector, CountsDistinctCellRowsAcrossAttempts) {
 
 TEST(Transport, ParsesLocalPools) {
   const auto t = makeTransport("local:4");
-  EXPECT_EQ(t->slots(), 4u);
-  EXPECT_EQ(t->describe(), "local:4");
-  EXPECT_EQ(t->slotName(2), "local:2");
-}
-
-TEST(Transport, ParsesSshHostListsAsStub) {
-  const auto t = makeTransport("ssh:alpha,beta");
-  EXPECT_EQ(t->slots(), 2u);
-  EXPECT_EQ(t->describe(), "ssh:alpha,beta");
-  EXPECT_EQ(t->slotName(1), "ssh:beta");
-  // The stub is honest: spawning throws instead of pretending.
-  EXPECT_THROW((void)t->spawn({"disp_bench"}, "/dev/null", 0),
-               std::runtime_error);
+  EXPECT_EQ(t.slots(), 4u);
+  EXPECT_EQ(t.describe(), "local:4");
+  EXPECT_EQ(t.slotName(2), "local:2");
 }
 
 TEST(Transport, RejectsBadSpecs) {
   for (const char* bad :
        {"", "local", "local:", "local:0", "local:abc", "local:-2", "ssh:",
-        "ssh:a,,b", "carrier-pigeon:coop"}) {
+        "ssh:a,,b", "ssh:alpha,beta", "carrier-pigeon:coop"}) {
     EXPECT_THROW((void)makeTransport(bad), std::invalid_argument) << bad;
+  }
+  try {
+    (void)makeTransport("ssh:alpha,beta");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("known transports: local:P"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Transport, LocalPoolReportsExitCodesAndSignals) {
+  const std::string dir = testDir("transport");
+  LocalTransport t = makeTransport("local:2");
+  const auto waitFor = [&t](std::uint64_t handle) {
+    for (;;) {
+      const WorkerStatus s = t.poll(handle);
+      if (!s.running) return s;
+      ::usleep(1000);
+    }
+  };
+  const std::string log = dir + "/worker.log";
+  const WorkerStatus ok = waitFor(t.spawn({"sh", "-c", "echo hello"}, log, 0));
+  EXPECT_EQ(ok.exitCode, 0);
+  EXPECT_EQ(ok.signal, 0);
+  EXPECT_EQ(slurp(log), "hello\n");  // stdout goes to the attempt log
+
+  const WorkerStatus failed = waitFor(t.spawn({"sh", "-c", "exit 3"}, log, 1));
+  EXPECT_EQ(failed.exitCode, 3);
+  EXPECT_EQ(failed.signal, 0);
+
+  const std::uint64_t sleeper = t.spawn({"sleep", "30"}, log, 0);
+  EXPECT_TRUE(t.poll(sleeper).running);
+  t.terminate(sleeper);
+  const WorkerStatus killed = waitFor(sleeper);
+  EXPECT_EQ(killed.exitCode, -1);
+  EXPECT_EQ(killed.signal, SIGKILL);
+
+  EXPECT_EQ(waitFor(t.spawn({"./no-such-disp-binary"}, log, 0)).exitCode, 127);
+  EXPECT_THROW((void)t.spawn({"true"}, log, 2), std::runtime_error);  // slot
+  EXPECT_THROW((void)t.spawn({}, log, 0), std::runtime_error);
+}
+
+// The flag list disp_bench and disp_fleet share: exactly the listed names
+// (no leading "--", no value), each listed once.
+TEST(BenchFlags, AcceptsExactlyTheListedNames) {
+  std::set<std::string_view> seen;
+  for (const std::string_view name : exp::kBenchFlags) {
+    EXPECT_TRUE(exp::isBenchFlag(name)) << name;
+    EXPECT_TRUE(seen.insert(name).second) << "listed twice: " << name;
+  }
+  for (const char* name : {"threads", "faults", "shard", "stream-cells", "list-cells"}) {
+    EXPECT_TRUE(exp::isBenchFlag(name)) << name;
+  }
+  for (const char* name : {"run-threads", "threds", "", "--threads", "threads=2",
+                           "Threads", "fleet", "resume"}) {
+    EXPECT_FALSE(exp::isBenchFlag(name)) << name;
   }
 }
 
@@ -496,6 +549,33 @@ TEST(FleetE2E, MalformedShardSpecsAreUsageErrors) {
                      " fig1_empty_selection --shard=0/2 > " + dir +
                      "/out.txt 2>&1"),
             2);
+}
+
+// A misspelled or retired flag must not silently fall back to the
+// defaults: disp_bench and disp_fleet run both refuse it by name.
+TEST(FleetE2E, UnknownBenchFlagsAreUsageErrors) {
+  const std::string dir = testDir("unknown_flag");
+  for (const std::string flag : {"run-threads=4", "threds=2"}) {
+    const std::string name = "--" + flag.substr(0, flag.find('='));
+    EXPECT_EQ(exitCode(std::string(DISP_BENCH_BIN) + " scenario" + kAxes + " --" +
+                       flag + " > " + dir + "/out.txt 2> " + dir + "/err.txt"),
+              2)
+        << flag;
+    EXPECT_NE(slurp(dir + "/err.txt").find("error: unknown flag " + name),
+              std::string::npos)
+        << slurp(dir + "/err.txt");
+
+    EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " run scenario" + kAxes +
+                       " --fleet=local:2 --dir=" + dir + " --" + flag + " > " +
+                       dir + "/fleet.out 2>&1"),
+              2)
+        << flag;
+    EXPECT_NE(slurp(dir + "/fleet.out").find("unknown flag " + name),
+              std::string::npos)
+        << slurp(dir + "/fleet.out");
+    // Refused before any manifest is written or worker spawned.
+    EXPECT_FALSE(fs::exists(dir + "/" + kManifestFile)) << flag;
+  }
 }
 
 TEST(FleetE2E, FleetRunMatchesUnshardedReference) {

@@ -121,7 +121,7 @@ TEST(WorldOccupancyFuzz, BurstyGroupMoves) {
 // --------------------------------------------- epoch regression
 
 struct EpochCase {
-  Algorithm algo;
+  const char* algo;
   const char* family;
   std::uint32_t k;
   std::uint32_t clusters;
@@ -137,13 +137,13 @@ struct EpochCase {
 // are simulation facts: any drift here is a correctness bug, not a perf
 // regression.
 constexpr EpochCase kEpochCases[] = {
-    {Algorithm::RootedAsync, "er", 64, 1, "round_robin", 5, 707ULL, 45202ULL, 3948ULL},
-    {Algorithm::RootedAsync, "er", 96, 1, "uniform", 23, 428ULL, 212222ULL, 7726ULL},
-    {Algorithm::KsAsync, "star", 32, 1, "round_robin", 11, 62ULL, 1958ULL, 961ULL},
-    {Algorithm::GeneralAsync, "er", 64, 4, "weighted", 9, 219ULL, 131341ULL, 4662ULL},
-    {Algorithm::GeneralAsync, "grid", 128, 16, "shuffled", 9, 2262ULL, 289524ULL,
+    {"rooted_async", "er", 64, 1, "round_robin", 5, 707ULL, 45202ULL, 3948ULL},
+    {"rooted_async", "er", 96, 1, "uniform", 23, 428ULL, 212222ULL, 7726ULL},
+    {"ks_async", "star", 32, 1, "round_robin", 11, 62ULL, 1958ULL, 961ULL},
+    {"general_async", "er", 64, 4, "weighted", 9, 219ULL, 131341ULL, 4662ULL},
+    {"general_async", "grid", 128, 16, "shuffled", 9, 2262ULL, 289524ULL,
      21931ULL},
-    {Algorithm::KsAsync, "complete", 64, 1, "uniform", 5, 101ULL, 29190ULL, 2588ULL},
+    {"ks_async", "complete", 64, 1, "uniform", 5, 101ULL, 29190ULL, 2588ULL},
 };
 
 TEST(AsyncEpochRegression, EpochStampAccountingMatchesPinnedValues) {
@@ -152,8 +152,12 @@ TEST(AsyncEpochRegression, EpochStampAccountingMatchesPinnedValues) {
     const Placement p = c.clusters == 1
                             ? rootedPlacement(g, c.k, 0, c.seed)
                             : clusteredPlacement(g, c.k, c.clusters, c.seed);
-    const RunResult r = runDispersion(g, p, {c.algo, c.scheduler, c.seed});
-    const std::string what = std::string(algorithmName(c.algo)) + " " + c.family +
+    RunOptions opts;
+    opts.algorithm = c.algo;
+    opts.scheduler = c.scheduler;
+    opts.seed = c.seed;
+    const RunResult r = runSession(g, p, opts);
+    const std::string what = std::string(c.algo) + " " + c.family +
                              " k=" + std::to_string(c.k) + " sched=" + c.scheduler;
     EXPECT_TRUE(r.dispersed) << what;
     EXPECT_EQ(r.time, c.epochs) << what;

@@ -1,5 +1,5 @@
 // Guard rails for the ASYNC protocol probe indexes (algo/probe_index.hpp,
-// DESIGN.md §9.4):
+// DESIGN.md §9):
 //  * randomized fuzz of IdleProberIndex and GroupPositionIndex against
 //    obviously-correct naive models, replaying thousands of membership /
 //    position / relabel transitions — buckets, counts and consolidation

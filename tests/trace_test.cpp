@@ -55,20 +55,29 @@ TEST(Registry, RoundTripsEveryBuiltinByKeyAndDisplayName) {
   EXPECT_EQ(algorithmKeys().size(), algorithmRegistry().size());
 }
 
-TEST(Registry, TraitsMatchTheLegacyEnumPredicates) {
-  const Algorithm enums[] = {Algorithm::RootedSync,   Algorithm::RootedAsync,
-                             Algorithm::GeneralSync,  Algorithm::GeneralAsync,
-                             Algorithm::KsSync,       Algorithm::KsAsync};
-  for (const Algorithm a : enums) {
-    const AlgorithmDef& def = algorithmDef(algorithmKey(a));
-    EXPECT_EQ(def.traits.isAsync, isAsync(a)) << def.traits.key;
-    EXPECT_EQ(def.traits.display, algorithmName(a)) << def.traits.key;
+// Pins each builtin's traits: its model (SYNC rounds vs ASYNC epochs), its
+// Table 1 display name, and whether it needs a rooted start.
+TEST(Registry, TraitsPinEachProtocolsModelAndDisplayName) {
+  struct Expected {
+    const char* key;
+    const char* display;
+    bool isAsync;
+    bool requiresRooted;  // only the general algorithms accept clusters
+  };
+  const Expected expected[] = {
+      {"rooted_sync", "RootedSyncDisp", false, true},
+      {"rooted_async", "RootedAsyncDisp", true, true},
+      {"general_sync", "GeneralSync(doubling)", false, false},
+      {"general_async", "GeneralAsync(Thm8.2)", true, false},
+      {"ks_sync", "KS-sync", false, true},
+      {"ks_async", "KS-async", true, true},
+  };
+  for (const Expected& e : expected) {
+    const AlgorithmDef& def = algorithmDef(e.key);
+    EXPECT_EQ(def.traits.display, e.display) << e.key;
+    EXPECT_EQ(def.traits.isAsync, e.isAsync) << e.key;
+    EXPECT_EQ(def.traits.requiresRooted, e.requiresRooted) << e.key;
   }
-  // The general algorithms accept clustered placements, the rest do not.
-  EXPECT_FALSE(algorithmDef("general_sync").traits.requiresRooted);
-  EXPECT_FALSE(algorithmDef("general_async").traits.requiresRooted);
-  EXPECT_TRUE(algorithmDef("rooted_sync").traits.requiresRooted);
-  EXPECT_TRUE(algorithmDef("ks_async").traits.requiresRooted);
 }
 
 TEST(Registry, UnknownNamesFailLoudly) {
@@ -139,16 +148,19 @@ TEST(ObserverDeterminism, ObservedRunsReportIdenticalFactsAtAnyCadence) {
   }
 }
 
-TEST(ObserverDeterminism, CompatWrapperMatchesSession) {
+TEST(ObserverDeterminism, DisplayNameRunMatchesKeyRun) {
+  // RunOptions::algorithm takes the historical display name as well as the
+  // registry key; both select the same protocol and the same run.
   const Graph g = makeGraph("grid", 64, 9);
   const Placement p = rootedPlacement(g, 48, 0, 3);
-  const RunResult viaEnum = runDispersion(g, p, {Algorithm::RootedAsync, "uniform", 5});
   RunOptions opts;
   opts.algorithm = "rooted_async";
   opts.scheduler = "uniform";
   opts.seed = 5;
-  const RunResult viaSession = runSession(g, p, opts);
-  expectSameFacts(viaEnum, viaSession, "compat wrapper");
+  const RunResult viaKey = runSession(g, p, opts);
+  opts.algorithm = "RootedAsyncDisp";
+  const RunResult viaDisplay = runSession(g, p, opts);
+  expectSameFacts(viaKey, viaDisplay, "display name");
 }
 
 // --------------------------------------------------- trace schema/ordering
@@ -262,6 +274,46 @@ TEST(TraceSchema, MoveEventsMatchTotalMovesForEveryAlgorithm) {
     ASSERT_TRUE(r.dispersed) << key;
     EXPECT_EQ(moveEvents, r.totalMoves) << key;
     EXPECT_EQ(settleEvents - collapseEvents, 32u) << key;
+  }
+}
+
+// The SYNC engine stages and commits every round on one thread, and the
+// ASYNC engine resumes one fiber at a time: a second run of the same session
+// must report the same facts and emit the same typed event stream, event for
+// event.  The SYNC sizes put hundreds of staged moves into a round.
+TEST(TraceSchema, RepeatedRunsEmitIdenticalStreamsOnEveryAlgorithm) {
+  struct Case {
+    const char* algo;
+    const char* placement;
+    std::uint32_t k;
+  };
+  const Case cases[] = {
+      {"rooted_sync", "rooted", 400},        {"general_sync", "clusters:l=4", 300},
+      {"ks_sync", "rooted", 300},            {"rooted_async", "rooted", 32},
+      {"general_async", "clusters:l=3", 32}, {"ks_async", "rooted", 32},
+  };
+  const auto tracedRun = [](const Case& c, std::vector<TraceEvent>& events) {
+    RunOptions opts;
+    opts.algorithm = c.algo;
+    opts.seed = 5;
+    opts.onEvent = [&events](const TraceEvent& e) { events.push_back(e); };
+    return runScenario("er", c.placement, c.k, opts);
+  };
+  for (const Case& c : cases) {
+    std::vector<TraceEvent> firstEvents, secondEvents;
+    const RunResult first = tracedRun(c, firstEvents);
+    const RunResult second = tracedRun(c, secondEvents);
+    EXPECT_TRUE(first.dispersed) << c.algo;
+    expectSameFacts(first, second, c.algo);
+    ASSERT_FALSE(firstEvents.empty()) << c.algo;
+    ASSERT_EQ(firstEvents.size(), secondEvents.size()) << c.algo;
+    for (std::size_t i = 0; i < firstEvents.size(); ++i) {
+      const TraceEvent& a = firstEvents[i];
+      const TraceEvent& b = secondEvents[i];
+      const bool same = a.kind == b.kind && a.time == b.time && a.agent == b.agent &&
+                        a.node == b.node && a.a == b.a && a.b == b.b;
+      ASSERT_TRUE(same) << c.algo << " trace event " << i << " drifted";
+    }
   }
 }
 

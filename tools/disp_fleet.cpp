@@ -7,9 +7,10 @@
 // `run` enumerates the selected sweeps' cells (disp_bench --list-cells
 // semantics, in-process), sizes a shard partition, records it in a durable
 // manifest, and supervises one disp_bench worker per shard through the
-// configured transport.  Unrecognized flags are forwarded verbatim to every
-// worker, so the full disp_bench axis-override surface (--graphs,
-// --placements, --ks, --seeds, --threads, ...) works unchanged.
+// local process pool.  Every other flag must be a disp_bench flag
+// (exp::kBenchFlags) and is forwarded verbatim to every worker, so the full
+// disp_bench axis-override surface (--graphs, --placements, --ks, --seeds,
+// --threads, ...) works unchanged.
 #include <algorithm>
 #include <filesystem>
 #include <iostream>
@@ -30,7 +31,7 @@ namespace fs = std::filesystem;
 using disp::Cli;
 
 void printUsage(std::ostream& os) {
-  os << "usage: disp_fleet run <sweep>... [--fleet=local:P|ssh:h1,h2]\n"
+  os << "usage: disp_fleet run <sweep>... [--fleet=local:P]\n"
         "                   [--dir=DIR] [--shards=N | --cells-per-shard=C]\n"
         "                   [--max-attempts=A] [--stall-timeout=SEC]\n"
         "                   [--backoff=SEC] [--poll-interval=SEC]\n"
@@ -111,6 +112,7 @@ int cmdRun(const Cli& cli) {
                         " is coordinator-owned (disp_fleet computes per-worker "
                         "values); drop it");
     }
+    if (!disp::exp::isBenchFlag(key)) return usageError("unknown flag --" + key);
     benchArgs.push_back(value.empty() ? "--" + key : "--" + key + "=" + value);
   }
 
@@ -144,7 +146,7 @@ int cmdRun(const Cli& cli) {
   // invocation — the same arithmetic disp_bench --shard applies).
   std::uint32_t slots = 0;
   try {
-    slots = disp::fleet::makeTransport(opt.fleetSpec)->slots();
+    slots = disp::fleet::makeTransport(opt.fleetSpec).slots();
   } catch (const std::exception& e) {
     return usageError(e.what());
   }
