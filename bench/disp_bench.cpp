@@ -26,8 +26,8 @@ void printUsage(std::ostream& os) {
   }
   os << "\n--seeds replicates add per-cell \"±95\" CI columns to the tables.\n"
         "--trace streams every run's typed events + sampled snapshots as\n"
-        "JSON-lines (cadence --sample=N; schema validated by\n"
-        "scripts/check_trace.sh).\n"
+        "JSON-lines (cadence --sample=N; `disp_fleet check FILE`\n"
+        "validates the schema).\n"
         "--graphs/--placements override a sweep's workload axes with\n"
         "';'-separated spec strings — e.g.\n"
         "  --graphs='er:n=2048,p=0.01;file:roads.e'\n"
@@ -38,7 +38,7 @@ void printUsage(std::ostream& os) {
         "  --faults='none;crash:rate=0.25,restart=64;churn:edges=4,every=32'\n"
         "(the `faults` sweep is the self-stabilization scorecard).\n"
         "--shard=I/N runs every Nth cell of the deterministic enumeration;\n"
-        "merge shard JSONL outputs with scripts/merge_jsonl.sh.\n"
+        "merge shard JSONL outputs with `disp_fleet merge --dup=error`.\n"
         "--list-cells prints the enumeration (one JSON line per cell) without\n"
         "running anything; --stream-cells flushes the JSONL sink after every\n"
         "cell so rows are durable under kill -9 (disp_fleet drives both).\n"

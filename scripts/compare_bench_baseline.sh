@@ -8,8 +8,8 @@
 # Without a JSONL argument the script runs `disp_bench` itself (at the
 # baseline's scale).  Identity columns (k, n, family, sched, ...) must
 # match exactly; metric columns may improve freely but may not regress
-# past the tolerance; machine-dependent telemetry columns (wallclock,
-# peak RSS) and derived ratio columns are ignored.
+# past the tolerance; every other column (telemetry, derived ratios) is
+# skipped.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -48,11 +48,6 @@ METRICS = {"RootedSync(ours)", "Sudo-style", "KS-baseline", "RootedAsync(ours)",
            "KS-async", "rounds", "epochs", "bits"}
 # Experiment-identity columns, compared exactly.
 IDENTITY = {"k", "n", "m", "Delta", "family", "l", "sched", "algo", "dispersed"}
-# Machine-dependent telemetry: never compared, never a failure.  Wallclock
-# and memory numbers document the recording machine; the simulation facts
-# they ride alongside are covered by IDENTITY/METRICS above.
-TELEMETRY = {"ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb",
-             "rss_lb_mb", "rss_ratio"}
 
 fresh = {}
 with open(jsonl_path) as f:
@@ -83,8 +78,6 @@ for name, bench in baseline["benches"].items():
         ident = " ".join(f"{k}={b[k]}" for k in ("algo", "family", "k", "l", "sched")
                          if k in b)
         for key, bval in b.items():
-            if key in TELEMETRY:
-                continue
             if key in IDENTITY:
                 if f.get(key) != bval:
                     fail(f"{name} row {i} ({ident}): {key} = {f.get(key)!r}, "

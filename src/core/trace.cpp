@@ -19,4 +19,13 @@ const char* traceEventKindName(TraceEventKind k) {
   return "?";
 }
 
+std::vector<TraceEventKind> traceEventKinds() {
+  // Kinds are numbered from 0, and the switch above names exactly them.
+  std::vector<TraceEventKind> kinds;
+  for (unsigned v = 0; traceEventKindName(static_cast<TraceEventKind>(v))[0] != '?'; ++v) {
+    kinds.push_back(static_cast<TraceEventKind>(v));
+  }
+  return kinds;
+}
+
 }  // namespace disp

@@ -70,8 +70,11 @@ enum class TraceEventKind : std::uint8_t {
 inline constexpr std::uint32_t kNoTraceLabel = static_cast<std::uint32_t>(-1);
 
 /// Stable lowercase identifier ("move", "settle", ...) used by the JSONL
-/// trace schema and scripts/check_trace.sh.
+/// trace schema; "?" for a value that names no kind.
 [[nodiscard]] const char* traceEventKindName(TraceEventKind k);
+
+/// Every TraceEventKind, in declaration order.
+[[nodiscard]] std::vector<TraceEventKind> traceEventKinds();
 
 /// One trace record.  `time` is rounds committed so far (SYNC) or
 /// activations completed so far (ASYNC) at emission; events within one run

@@ -50,7 +50,7 @@ const std::vector<BenchDef>& benchRegistry() {
        &benchWallclock, /*heavy=*/false, /*shardable=*/false},
       {"scale_real", "E19: web-scale ingest & peak-RSS campaign (n=10^6..10^7)",
        &benchScaleReal, /*heavy=*/true},
-      {"trace_smoke", "E16: tiny observed cells (drives --trace / check_trace.sh)",
+      {"trace_smoke", "E16: tiny observed cells (drives --trace / disp_fleet check)",
        &benchTraceSmoke},
       {"scenario", "E17: ad-hoc workloads from --graphs/--placements/--ks specs",
        &benchScenario},
@@ -230,7 +230,7 @@ int runBenches(const std::vector<std::string>& names, const Cli& cli) {
   }
 
   // --shard=I/N: deterministic cell-index partition (merge the JSONL
-  // outputs with scripts/merge_jsonl.sh or disp_fleet merge).
+  // outputs with disp_fleet merge).
   if (cli.has("shard")) {
     try {
       const auto sh = parseShardFlag(cli.str("shard", ""));

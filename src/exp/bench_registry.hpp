@@ -10,7 +10,7 @@
 //   --jsonl=PATH     mirror every table row / fit line as JSON-lines
 //   --trace=PATH     stream every run's typed trace events + sampled
 //                    snapshots as JSON-lines (schema in exp/sink.hpp,
-//                    validated by scripts/check_trace.sh)
+//                    validated by disp_fleet check)
 //   --trajectory=PATH  plotting-friendly settled/moves CSV time series
 //                    (one row per sampled snapshot; exclusive with --trace)
 //   --sample=N       snapshot cadence for --trace/--trajectory (default 1
@@ -25,8 +25,8 @@
 //                    FaultSpec strings (core/faults.hpp grammar)
 //   --shard=I/N      run only cells with index ≡ I (mod N) of each suite's
 //                    deterministic enumeration; merge the JSONL shard
-//                    outputs with scripts/merge_jsonl.sh (or let the
-//                    disp_fleet coordinator drive shards + merge for you).
+//                    outputs with disp_fleet merge --dup=error (or let
+//                    disp_fleet run drive shards + merge for you).
 //                    Canonical form only: decimal I and N, no leading
 //                    zeros, 0 <= I < N <= 4096.  A shard owning zero cells
 //                    exits with kEmptyShardExitCode so a coordinator can

@@ -130,7 +130,8 @@ void benchAblationScheduler(BenchContext& ctx) {
 // moves/sec derived from the run counters so hot-path speedups read as
 // throughput).  This is engineering data, not a paper claim — the paper's
 // "time" is rounds/epochs, measured by E1–E4.  Each configuration repeats
-// until 100ms of wall time has accumulated.
+// until 100ms of wall time has accumulated, so runs, total_ms, ms/run and
+// the rates are all telemetry columns (exp::columnRole).
 void benchWallclock(BenchContext& ctx) {
   const std::string name = "wallclock";
   ctx.out << "# E14: wall-clock — simulator throughput (telemetry, not a claim)\n";
@@ -155,7 +156,7 @@ void benchWallclock(BenchContext& ctx) {
   Table t({"algo", "sched", "k", "l", "runs", "total_ms", "ms/run", "Mact/s",
            "Mmoves/s", "peak_rss_mb"});
   for (const Config& cfg : configs) {
-    // Per-config peak RSS (telemetry like ms): watermark reset before the
+    // Per-config peak RSS (telemetry like ms/run): watermark reset before the
     // graph build so the row covers everything the config touches.
     (void)disp::resetPeakRss();
     const Graph g = makeGraph("er", 2 * cfg.k, 7);
@@ -201,7 +202,7 @@ void benchWallclock(BenchContext& ctx) {
 // E16 — trace smoke: tiny cells covering both engines, the rooted and the
 // general (subsumption-heavy) protocols, so a `--trace` run of this suite
 // exercises every TraceEvent kind the library emits.  The CI gate pipes
-// the resulting JSONL through scripts/check_trace.sh.
+// the resulting JSONL through disp_fleet check.
 void benchTraceSmoke(BenchContext& ctx) {
   const std::string name = "trace_smoke";
   ctx.out << "# E16: trace smoke — tiny observed cells (for --trace)\n";

@@ -1,50 +1,28 @@
 #include "exp/sink.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <iterator>
 #include <ostream>
+#include <utility>
 
 namespace disp::exp {
 
-namespace {
-
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
-void JsonlWriter::record(
-    const std::vector<std::pair<std::string, std::string>>& fields) {
-  std::string line = "{";
-  bool first = true;
-  for (const auto& [key, value] : fields) {
-    if (!first) line += ", ";
-    first = false;
-    appendJsonString(line, key);
-    line += ": ";
-    appendJsonString(line, value);
-  }
-  line += "}";
-  // Flush per row: a killed large-k sweep keeps every row written so far
-  // (the rows are also the unit scripts/record_bench_baseline.sh parses).
-  os_ << line << '\n' << std::flush;
+ColumnRole columnRole(std::string_view name) {
+  static constexpr std::string_view kCoordinates[] = {
+      "sweep", "table", "family", "graph",  "file",   "k",
+      "l",     "placement", "sched", "algo", "faults", "seed",
+  };
+  // `runs` too: the wallclock sweep repeats a config for 100 ms.
+  static constexpr std::string_view kMachineDependent[] = {
+      "total_ms", "ms/run",      "runs",      "Mact/s",   "Mmoves/s",
+      "load_ms",  "peak_rss_mb", "rss_lb_mb", "rss_ratio",
+  };
+  const auto in = [name](const auto& list) {
+    return std::find(std::begin(list), std::end(list), name) != std::end(list);
+  };
+  return in(kCoordinates)        ? ColumnRole::Coordinate
+         : in(kMachineDependent) ? ColumnRole::Telemetry
+                                 : ColumnRole::Fact;
 }
 
 void emitTable(BenchContext& ctx, const std::string& sweep, const std::string& title,
@@ -88,31 +66,40 @@ void timeCellCi(Table& t, const Cell& c, bool ci) {
   if (ci) t.cell(ci95(c.time), 1);
 }
 
+namespace {
+
+/// Pairs each schema key with its value, in schema order.
+template <std::size_t N, class... Values>
+std::vector<std::pair<std::string, std::string>> traceLine(
+    const std::array<std::string_view, N>& keys, Values&&... values) {
+  static_assert(sizeof...(Values) == N, "one value per schema key");
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::size_t i = 0;
+  (fields.emplace_back(keys[i++], std::forward<Values>(values)), ...);
+  return fields;
+}
+
+}  // namespace
+
 void TraceJsonl::observe(const CellKey& key, std::uint64_t seed, RunOptions& opts) {
   opts.sampleEvery = sampleEvery_;
   const std::string cell = key.describe();
   const std::string seedStr = std::to_string(seed);
   opts.onEvent = [this, cell, seedStr](const TraceEvent& e) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    writer_.record(
-        {{"cell", cell},
-         {"seed", seedStr},
-         {"event", traceEventKindName(e.kind)},
-         {"t", std::to_string(e.time)},
-         {"agent", e.agent == kNoAgent ? "-" : std::to_string(e.agent)},
-         {"node", e.node == kInvalidNode ? "-" : std::to_string(e.node)},
-         {"a", e.a == kNoTraceLabel ? "-" : std::to_string(e.a)},
-         {"b", e.b == kNoTraceLabel ? "-" : std::to_string(e.b)}});
+    writer_.record(traceLine(kTraceEventKeys, cell, seedStr, traceEventKindName(e.kind),
+                             std::to_string(e.time),
+                             e.agent == kNoAgent ? "-" : std::to_string(e.agent),
+                             e.node == kInvalidNode ? "-" : std::to_string(e.node),
+                             e.a == kNoTraceLabel ? "-" : std::to_string(e.a),
+                             e.b == kNoTraceLabel ? "-" : std::to_string(e.b)));
   };
   const auto snapshot = [this, cell, seedStr](const StepSnapshot& s) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    writer_.record({{"cell", cell},
-                    {"seed", seedStr},
-                    {"event", "sample"},
-                    {"t", std::to_string(s.time)},
-                    {"epochs", std::to_string(s.epochs)},
-                    {"settled", std::to_string(s.settled)},
-                    {"moves", std::to_string(s.totalMoves)}});
+    writer_.record(traceLine(kTraceSampleKeys, cell, seedStr, "sample",
+                             std::to_string(s.time), std::to_string(s.epochs),
+                             std::to_string(s.settled),
+                             std::to_string(s.totalMoves)));
   };
   opts.onRound = snapshot;
   opts.onActivation = snapshot;

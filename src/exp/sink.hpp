@@ -9,28 +9,20 @@
 // has always parsed out of the markdown, so BENCH_table1.json stays
 // format-compatible.  Growth-fit lines are mirrored as {"fit": ...}.
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/batch_runner.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace disp::exp {
-
-/// Writes one JSON object per line; values are emitted as JSON strings.
-class JsonlWriter {
- public:
-  explicit JsonlWriter(std::ostream& os) : os_(os) {}
-
-  void record(const std::vector<std::pair<std::string, std::string>>& fields);
-
- private:
-  std::ostream& os_;
-};
 
 /// Everything a bench body needs: the markdown stream, an optional JSONL
 /// mirror, execution options, and the optional axis overrides (seeds,
@@ -78,6 +70,13 @@ struct BenchContext {
   [[nodiscard]] BatchRunner runner() const { return BatchRunner(batch); }
 };
 
+/// The role of a mirrored table column wherever two result files are
+/// compared (the fleet merge audit, disp_fleet diff): a Coordinate names
+/// the cell, Telemetry (wallclock, throughput, memory) may differ between
+/// runs of one cell, and every other column is a deterministic Fact.
+enum class ColumnRole { Coordinate, Fact, Telemetry };
+[[nodiscard]] ColumnRole columnRole(std::string_view name);
+
 /// Prints `# title` + the table to ctx.out and mirrors every row to the
 /// JSONL sink (tagged with the sweep name and table title).
 void emitTable(BenchContext& ctx, const std::string& sweep, const std::string& title,
@@ -101,17 +100,19 @@ void timeHeader(std::vector<std::string>& header, const std::string& name, bool 
 /// mean time over the non-errored replicates.
 void timeCellCi(Table& t, const Cell& c, bool ci);
 
+/// The keys of trace event lines (any traceEventKinds() kind) and sample
+/// lines ("event": "sample"), in emit order.  Values are JSON strings; "-"
+/// stands for no agent / node / label.
+inline constexpr std::array<std::string_view, 8> kTraceEventKeys{
+    "cell", "seed", "event", "t", "agent", "node", "a", "b"};
+inline constexpr std::array<std::string_view, 7> kTraceSampleKeys{
+    "cell", "seed", "event", "t", "epochs", "settled", "moves"};
+
 /// Thread-safe JSON-lines sink for run traces (disp_bench --trace).  Its
 /// observe() hook matches BatchOptions::observe: each replicate gets an
-/// onEvent stream plus sampled snapshot rows, every line self-describing
-/// with the cell key and seed (concurrent replicates interleave by line,
-/// never within one).  Schema (all values JSON strings, validated by
-/// scripts/check_trace.sh):
-///   {"cell", "seed", "event": move|settle|meeting|subsume|collapse|freeze|
-///    oscillation_duty|fault_crash|fault_restart|fault_edge|fault_silent,
-///    "t", "agent", "node", "a", "b"}
-///   {"cell", "seed", "event": "sample", "t", "epochs", "settled", "moves"}
-/// "-" stands for no-agent / no-node / no-label fields.
+/// onEvent stream plus sampled snapshot rows in the kTraceEventKeys /
+/// kTraceSampleKeys shapes, every line self-describing with the cell key
+/// and seed (concurrent replicates interleave by line, never within one).
 class TraceJsonl {
  public:
   /// Snapshot cadence per run: every `sampleEvery` rounds/activations.

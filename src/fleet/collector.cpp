@@ -6,27 +6,12 @@
 #include <set>
 #include <utility>
 
-#include "fleet/json.hpp"
+#include "exp/sink.hpp"
+#include "util/json.hpp"
 
 namespace disp::fleet {
 
 namespace {
-
-const char* const kTelemetry[] = {
-    "ms", "Mact/s", "Mmoves/s", "load_ms", "peak_rss_mb", "rss_lb_mb", "rss_ratio",
-};
-
-const char* const kCoordinates[] = {
-    "sweep", "table", "family", "graph", "file",  "k",
-    "l",     "placement", "sched", "algo", "faults", "seed",
-};
-
-bool isCoordinateColumn(const std::string& column) {
-  for (const char* c : kCoordinates) {
-    if (column == c) return true;
-  }
-  return false;
-}
 
 struct ParsedRow {
   /// Coordinate columns present in the row, in (key, value) sorted order.
@@ -44,8 +29,9 @@ ParsedRow flatten(const JsonValue& row) {
   for (const auto& [key, value] : row.members()) {
     const std::string rendered = value.isString() ? value.asString() : value.dump();
     if (key == "table" && rendered == "cell") out.isCellRow = true;
-    if (isCoordinateColumn(key)) out.coords.emplace_back(key, rendered);
-    if (!isTelemetryColumn(key)) out.facts.emplace_back(key, rendered);
+    const exp::ColumnRole role = exp::columnRole(key);
+    if (role == exp::ColumnRole::Coordinate) out.coords.emplace_back(key, rendered);
+    if (role != exp::ColumnRole::Telemetry) out.facts.emplace_back(key, rendered);
   }
   std::sort(out.coords.begin(), out.coords.end());
   std::sort(out.facts.begin(), out.facts.end());
@@ -79,13 +65,6 @@ struct Keeper {
 };
 
 }  // namespace
-
-bool isTelemetryColumn(const std::string& column) {
-  for (const char* t : kTelemetry) {
-    if (column == t) return true;
-  }
-  return false;
-}
 
 MergeResult mergeJsonl(const std::vector<MergeInput>& inputs, DupPolicy policy,
                        const std::string& outPath) {
@@ -180,6 +159,8 @@ MergeResult mergeJsonl(const std::vector<MergeInput>& inputs, DupPolicy policy,
   res.rowsOut = kept.size();
   return res;
 }
+
+std::string factPayload(const JsonValue& row) { return joinPairs(flatten(row).facts); }
 
 std::uint64_t countDistinctCellRows(const std::vector<std::string>& paths) {
   std::set<std::string> identities;

@@ -2,22 +2,15 @@
 // Collector — merges shard JSONL outputs and audits duplicates.
 //
 // Rows are the self-describing dictionaries JsonlWriter emits.  Columns
-// split three ways (the same split scripts/compare_bench_baseline.sh
-// gates on):
-//
-//   coordinates — the keys that identify which cell a row describes
-//                 (sweep, table, family, graph, file, k, l, placement,
-//                 sched, algo, faults, seed)
-//   telemetry   — wallclock / throughput / memory columns that may
-//                 legitimately differ between attempts (ms, Mact/s,
-//                 Mmoves/s, load_ms, peak_rss_mb, rss_lb_mb, rss_ratio)
-//   facts       — everything else: deterministic simulation results
+// split three ways by exp::columnRole: coordinates identify which cell a
+// row describes, telemetry (wallclock, throughput, memory) may
+// legitimately differ between attempts, and facts are everything else.
 //
 // Two rows with the same coordinates must agree on every fact column.
 // Agreement → the duplicate is dropped (DupPolicy::Dedup — retries and
 // cross-shard repeats of shared rows are expected) or reported
-// (DupPolicy::Error — scripts/merge_jsonl.sh's historical "overlapping
-// shards?" contract).  Disagreement is a *divergence*: the run was not
+// (DupPolicy::Error — the "overlapping shards?" contract for shards that
+// must be disjoint).  Disagreement is a *divergence*: the run was not
 // deterministic (or a file was corrupted) and the merge fails loudly with
 // a cell-level diff either way.
 //
@@ -28,6 +21,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace disp::fleet {
 
@@ -64,12 +59,13 @@ struct MergeResult {
 [[nodiscard]] MergeResult mergeJsonl(const std::vector<MergeInput>& inputs,
                                      DupPolicy policy, const std::string& outPath);
 
+/// A row's columns minus telemetry, as sorted "key=value" pairs: what the
+/// merge audit and diffFacts compare.
+[[nodiscard]] std::string factPayload(const JsonValue& row);
+
 /// Distinct cell identities among {"table": "cell"} rows across `paths` —
 /// the resume scan: how many of a shard's cells already have durable rows.
 /// Unreadable files and unparseable lines count as zero rows, not errors.
 [[nodiscard]] std::uint64_t countDistinctCellRows(const std::vector<std::string>& paths);
-
-/// True iff `column` is telemetry (exempt from the fact comparison).
-[[nodiscard]] bool isTelemetryColumn(const std::string& column);
 
 }  // namespace disp::fleet

@@ -1,8 +1,10 @@
 #include "fleet/events.hpp"
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 
-#include "fleet/json.hpp"
+#include "util/json.hpp"
 
 namespace disp::fleet {
 
@@ -36,6 +38,32 @@ std::uint64_t lastSeq(const std::string& path) {
 
 }  // namespace
 
+const EventFields* fleetEventSchema(std::string_view kind) {
+  using enum FieldType;
+  static const std::map<std::string_view, EventFields> kSchemas{
+      {"run_start", {{"sweeps", Text}, {"fleet", Text}, {"shards", Count},
+                     {"workers", Count}, {"cells", Count}, {"resumed", YesNo}}},
+      {"resume", {{"shard", Count}, {"state", Text}, {"cells_done", Count},
+                  {"cells", Count}, {"complete", YesNo}}},
+      {"spawn", {{"shard", Count}, {"attempt", Count}, {"pid", Count},
+                 {"worker", Text}, {"output", Text}}},
+      {"exit", {{"shard", Count}, {"attempt", Count}, {"pid", Count},
+                {"code", Text}, {"signal", Text}}},
+      {"stall", {{"shard", Count}, {"attempt", Count}, {"idle_ms", Count}}},
+      {"chaos_kill", {{"shard", Count}, {"attempt", Count}, {"rows", Count}}},
+      {"retry", {{"shard", Count}, {"attempt", Count}, {"delay_ms", Count}}},
+      {"poison", {{"shard", Count}, {"attempts", Count}}},
+      {"shard_done", {{"shard", Count}, {"attempts", Count}, {"rows", Count},
+                      {"cells", Count}, {"empty", YesNo}}},
+      {"merge", {{"files", Count}, {"rows_in", Count}, {"rows_out", Count},
+                 {"dups", Count}, {"partial_tails", Count}, {"output", Text}}},
+      {"divergence", {{"cells", Count}}},
+      {"run_done", {{"ok", YesNo}, {"failed_shards", Text}}},
+  };
+  const auto it = kSchemas.find(kind);
+  return it == kSchemas.end() ? nullptr : &it->second;
+}
+
 FleetEventLog::FleetEventLog(const std::string& path)
     : seq_(lastSeq(path) + 1), start_(std::chrono::steady_clock::now()) {
   out_.open(path, std::ios::app);
@@ -44,19 +72,19 @@ FleetEventLog::FleetEventLog(const std::string& path)
 
 void FleetEventLog::emit(const std::string& kind,
                          std::vector<std::pair<std::string, std::string>> fields) {
+  const EventFields* schema = fleetEventSchema(kind);
+  const auto sameKey = [](const auto& x, const auto& y) { return x.first == y.first; };
+  if (schema == nullptr || !std::is_permutation(fields.begin(), fields.end(),
+                                                schema->begin(), schema->end(), sameKey)) {
+    throw std::logic_error("fleet event '" + kind + "' does not match its schema");
+  }
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
-  std::string line = "{";
-  line += jsonQuote("seq") + ": " + jsonQuote(std::to_string(seq_++));
-  line += ", " + jsonQuote("t_ms") + ": " + jsonQuote(std::to_string(ms));
-  line += ", " + jsonQuote("event") + ": " + jsonQuote(kind);
-  for (const auto& [key, value] : fields) {
-    line += ", " + jsonQuote(key) + ": " + jsonQuote(value);
-  }
-  line += "}";
-  out_ << line << "\n";
-  out_.flush();
+  fields.insert(fields.begin(), {{"seq", std::to_string(seq_++)},
+                                 {"t_ms", std::to_string(ms)},
+                                 {"event", kind}});
+  JsonlWriter(out_).record(fields);  // flushes the line
   if (!out_) throw std::runtime_error("writing fleet events failed");
 }
 

@@ -4,12 +4,10 @@
 // Every coordinator action (spawn/exit/retry/stall/poison/resume/merge/…)
 // appends one self-describing JSON line carrying a monotonic sequence
 // number, so an overnight campaign is diagnosable after the fact and a
-// resumed coordinator continues the same file without renumbering.  Schema
-// (all values JSON strings, like every JSONL stream in this repo;
-// validated by scripts/check_fleet_events.sh):
-//
-//   {"seq", "t_ms", "event": run_start|resume|spawn|exit|stall|chaos_kill|
-//    retry|poison|shard_done|merge|divergence|run_done, ...per-kind fields}
+// resumed coordinator continues the same file without renumbering.  Each
+// line is {"seq", "t_ms", "event": kind, ...the kind's fields}, all values
+// JSON strings; fleetEventSchema() defines the kinds and their fields for
+// emit() and checkFleetEvents alike.
 //
 // t_ms is wall-clock milliseconds since the *current* coordinator process
 // started — telemetry, monotonic within one run; seq is monotonic across
@@ -19,10 +17,19 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace disp::fleet {
+
+/// A field's value: free text, a non-negative integer, or "yes"/"no".
+enum class FieldType { Text, Count, YesNo };
+using EventFields = std::vector<std::pair<std::string_view, FieldType>>;
+
+/// The fields of event `kind` besides seq and t_ms (Counts) and event, in
+/// emit order; nullptr when `kind` is not a fleet event kind.
+[[nodiscard]] const EventFields* fleetEventSchema(std::string_view kind);
 
 class FleetEventLog {
  public:
@@ -33,6 +40,8 @@ class FleetEventLog {
 
   /// Appends {"seq", "t_ms", "event": kind, fields...} and flushes (the
   /// stream must survive a SIGKILL'd coordinator just like shard rows do).
+  /// Throws std::logic_error when `kind` or its key set is not in
+  /// fleetEventSchema().
   void emit(const std::string& kind,
             std::vector<std::pair<std::string, std::string>> fields);
 

@@ -5,7 +5,7 @@
 #include <iterator>
 #include <stdexcept>
 
-#include "fleet/json.hpp"
+#include "util/json.hpp"
 
 namespace disp::fleet {
 

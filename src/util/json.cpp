@@ -1,10 +1,11 @@
-#include "fleet/json.hpp"
+#include "util/json.hpp"
 
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 #include <stdexcept>
 
-namespace disp::fleet {
+namespace disp {
 
 namespace {
 
@@ -192,8 +193,7 @@ void appendNumber(std::string& out, double d) {
   out += buf;
 }
 
-}  // namespace
-
+/// Escapes `s` as a JSON string literal including the quotes.
 std::string jsonQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -217,6 +217,21 @@ std::string jsonQuote(std::string_view s) {
   }
   out += '"';
   return out;
+}
+
+}  // namespace
+
+void JsonlWriter::record(
+    const std::vector<std::pair<std::string, std::string>>& fields) {
+  std::string line = "{";
+  for (const auto& [key, value] : fields) {
+    if (line.size() > 1) line += ", ";
+    line += jsonQuote(key);
+    line += ": ";
+    line += jsonQuote(value);
+  }
+  line += "}";
+  os_ << line << '\n' << std::flush;
 }
 
 JsonValue JsonValue::boolean(bool b) {
@@ -276,11 +291,6 @@ const std::string& JsonValue::asString() const {
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
-  if (kind_ != Kind::Array) throw std::runtime_error("JSON value is not an array");
-  return items_;
-}
-
-std::vector<JsonValue>& JsonValue::items() {
   if (kind_ != Kind::Array) throw std::runtime_error("JSON value is not an array");
   return items_;
 }
@@ -386,4 +396,4 @@ JsonValue JsonValue::parse(std::string_view text) {
   return v;
 }
 
-}  // namespace disp::fleet
+}  // namespace disp

@@ -1,27 +1,24 @@
 #pragma once
-// Minimal JSON value model for the fleet fabric.
-//
-// The fleet's durable artifacts — the manifest, the per-shard JSONL rows it
-// re-scans on resume, and the merged output — are all JSON the repo itself
-// produced, so a small recursive-descent parser with strict errors is the
-// whole requirement; no third-party dependency.  Objects preserve insertion
-// order (dump() round-trips the repo's own writers byte-for-byte for the
-// string-valued rows JsonlWriter emits), numbers round-trip through the
-// shortest form that re-parses, and parse errors carry a byte offset so a
-// truncated or corrupted manifest fails with a usable diagnostic.
+// The repo's one JSON code path: JsonlWriter writes every JSON-lines
+// stream (result rows, traces, fleet events) and JsonValue reads them and
+// the fleet manifest back.  All of it is JSON the repo itself produced, so
+// a small recursive-descent parser with strict errors is the whole
+// requirement.  Objects preserve insertion order (dump() round-trips
+// JsonlWriter rows byte-for-byte), numbers round-trip through the shortest
+// form that re-parses, and parse errors carry a byte offset so a truncated
+// or corrupted file fails with a usable diagnostic.
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-namespace disp::fleet {
+namespace disp {
 
 class JsonValue {
  public:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-
   JsonValue() = default;
   static JsonValue boolean(bool b);
   static JsonValue number(double d);
@@ -29,12 +26,9 @@ class JsonValue {
   static JsonValue array();
   static JsonValue object();
 
-  [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
-  [[nodiscard]] bool isBool() const { return kind_ == Kind::Bool; }
   [[nodiscard]] bool isNumber() const { return kind_ == Kind::Number; }
   [[nodiscard]] bool isString() const { return kind_ == Kind::String; }
-  [[nodiscard]] bool isArray() const { return kind_ == Kind::Array; }
   [[nodiscard]] bool isObject() const { return kind_ == Kind::Object; }
 
   [[nodiscard]] bool asBool() const;
@@ -43,7 +37,6 @@ class JsonValue {
   [[nodiscard]] std::uint64_t asU64() const;
   [[nodiscard]] const std::string& asString() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;
-  [[nodiscard]] std::vector<JsonValue>& items();
   /// Object members in insertion order.
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
@@ -63,6 +56,7 @@ class JsonValue {
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:
+  enum class Kind { Null, Bool, Number, String, Array, Object };
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
@@ -73,7 +67,16 @@ class JsonValue {
   void dumpTo(std::string& out, int indent, int depth) const;
 };
 
-/// Escapes `s` as a JSON string literal including the quotes.
-[[nodiscard]] std::string jsonQuote(std::string_view s);
+/// Writes one JSON object per line, values as JSON strings, flushing each
+/// line so a killed writer leaves every finished line durable.
+class JsonlWriter {
+ public:
+  explicit JsonlWriter(std::ostream& os) : os_(os) {}
 
-}  // namespace disp::fleet
+  void record(const std::vector<std::pair<std::string, std::string>>& fields);
+
+ private:
+  std::ostream& os_;
+};
+
+}  // namespace disp

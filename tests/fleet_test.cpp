@@ -1,10 +1,11 @@
 // Tests for the src/fleet/ sweep fabric: the JSON value model, manifest
 // round-trip + corruption rejection, the collector's dedup/divergence
-// audit, transport spec parsing and local worker spawn/poll/kill, the
-// disp_bench flag list, --shard parse hardening, and — when the
-// bench binaries are built (DISP_BENCH_BIN / DISP_FLEET_BIN) — subprocess
-// end-to-end runs: a sharded fleet campaign must reproduce the unsharded
-// reference byte-identically in fact columns, survive a mid-shard kill via
+// audit, the trace / fleet event / fact-diff checkers, transport spec
+// parsing and local worker spawn/poll/kill, the disp_bench flag list,
+// --shard parse hardening, and — when the bench binaries are built
+// (DISP_BENCH_BIN / DISP_FLEET_BIN) — subprocess end-to-end runs: a
+// sharded fleet campaign must reproduce the unsharded reference
+// byte-identically in fact columns, survive a mid-shard kill via
 // restart-resume, and poison persistently failing shards.
 #include <gtest/gtest.h>
 
@@ -21,12 +22,16 @@
 #include <string_view>
 #include <vector>
 
+#include "core/trace.hpp"
 #include "exp/bench_registry.hpp"
+#include "exp/sink.hpp"
+#include "fleet/check.hpp"
 #include "fleet/collector.hpp"
-#include "fleet/json.hpp"
+#include "fleet/events.hpp"
 #include "fleet/manifest.hpp"
 #include "fleet/supervisor.hpp"
 #include "fleet/transport.hpp"
+#include "util/json.hpp"
 
 namespace disp::fleet {
 namespace {
@@ -246,20 +251,40 @@ TEST(Collector, TelemetryColumnsAreExemptFromTheAudit) {
   const std::string dir = testDir("telemetry");
   // Same cell, different wall-clock telemetry: a legitimate rerun.
   writeFile(dir + "/a.jsonl",
-            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "ms": "12.5"})"
+            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "Mact/s": "12.5"})"
             "\n");
   writeFile(dir + "/b.jsonl",
-            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "ms": "99.9"})"
+            R"({"sweep": "s", "table": "cell", "graph": "er", "k": "4", "moves": "9", "Mact/s": "99.9"})"
             "\n");
   const MergeResult res = mergeJsonl({{dir + "/a.jsonl", false},
                                       {dir + "/b.jsonl", false}},
                                      DupPolicy::Dedup, dir + "/out.jsonl");
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.dupsDropped, 1u);
-  EXPECT_TRUE(isTelemetryColumn("ms"));
-  EXPECT_TRUE(isTelemetryColumn("peak_rss_mb"));
-  EXPECT_FALSE(isTelemetryColumn("moves"));
-  EXPECT_FALSE(isTelemetryColumn("time"));
+  EXPECT_EQ(exp::columnRole("peak_rss_mb"), exp::ColumnRole::Telemetry);
+  EXPECT_EQ(exp::columnRole("moves"), exp::ColumnRole::Fact);
+  EXPECT_EQ(exp::columnRole("time"), exp::ColumnRole::Fact);
+  EXPECT_EQ(exp::columnRole("graph"), exp::ColumnRole::Coordinate);
+  // No emitter writes a bare "ms" column, so it is an ordinary fact.
+  EXPECT_EQ(exp::columnRole("ms"), exp::ColumnRole::Fact);
+}
+
+// The wallclock sweep's timing columns are telemetry: two runs of the same
+// config agree on every fact and merge to one row.
+TEST(Collector, WallclockRowsDedupOnTheirFactColumns) {
+  const std::string dir = testDir("wallclock");
+  writeFile(dir + "/a.jsonl",
+            R"({"sweep": "wallclock", "table": "simulator wall-clock per dispersion run", "algo": "RootedSyncDisp", "sched": "round_robin", "k": "64", "l": "1", "runs": "310", "total_ms": "100.2", "ms/run": "0.323", "Mact/s": "41.07", "Mmoves/s": "11.52", "peak_rss_mb": "7.1"})"
+            "\n");
+  writeFile(dir + "/b.jsonl",
+            R"({"sweep": "wallclock", "table": "simulator wall-clock per dispersion run", "algo": "RootedSyncDisp", "sched": "round_robin", "k": "64", "l": "1", "runs": "287", "total_ms": "100.4", "ms/run": "0.350", "Mact/s": "37.93", "Mmoves/s": "10.64", "peak_rss_mb": "7.3"})"
+            "\n");
+  const MergeResult res = mergeJsonl({{dir + "/a.jsonl", false},
+                                      {dir + "/b.jsonl", false}},
+                                     DupPolicy::Dedup, dir + "/out.jsonl");
+  EXPECT_TRUE(res.ok) << (res.divergences.empty() ? "" : res.divergences[0].column);
+  EXPECT_EQ(res.rowsOut, 1u);
+  EXPECT_EQ(res.dupsDropped, 1u);
 }
 
 TEST(Collector, FactDivergenceFailsLoudlyWithACellDiff) {
@@ -330,6 +355,202 @@ TEST(Collector, CountsDistinctCellRowsAcrossAttempts) {
   EXPECT_EQ(countDistinctCellRows({dir + "/a1.jsonl", dir + "/a2.jsonl",
                                    dir + "/absent.jsonl"}),
             2u);
+}
+
+// ------------------------------------------------------------- checkers
+
+std::string traceLine(const std::string& kind, const std::string& t,
+                      const std::string& node = "0") {
+  return R"({"cell": "c", "seed": "1", "event": ")" + kind + R"(", "t": ")" + t +
+         R"(", "agent": "0", "node": ")" + node + R"(", "a": "-", "b": "-"})";
+}
+
+std::string sampleLine(const std::string& t, const std::string& settled) {
+  return R"({"cell": "c", "seed": "1", "event": "sample", "t": ")" + t +
+         R"(", "epochs": "0", "settled": ")" + settled + R"(", "moves": "1"})";
+}
+
+std::string fleetLine(const std::string& seq, const std::string& t,
+                      const std::string& kind, const std::string& payload) {
+  return R"({"seq": ")" + seq + R"(", "t_ms": ")" + t + R"(", "event": ")" + kind +
+         R"(", )" + payload + "}";
+}
+
+std::string joinLines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+struct BadStream {
+  std::vector<std::string> lines;
+  std::string where;  ///< expected "path:line" prefix
+  std::string why;    ///< expected substring of the diagnostic
+};
+
+void expectFirstViolation(CheckResult (*checker)(std::istream&, const std::string&),
+                          const BadStream& bad) {
+  std::stringstream in(joinLines(bad.lines));
+  const CheckResult res = checker(in, "s.jsonl");
+  ASSERT_EQ(res.diagnostics.size(), 1u) << bad.why;
+  EXPECT_EQ(res.diagnostics[0].rfind(bad.where + ": ", 0), 0u) << res.diagnostics[0];
+  EXPECT_NE(res.diagnostics[0].find(bad.why), std::string::npos) << res.diagnostics[0];
+}
+
+TEST(TraceCheck, AcceptsAClosedStreamAndCountsKinds) {
+  std::stringstream in(joinLines({traceLine("move", "0"), traceLine("settle", "1"),
+                                  sampleLine("1", "1")}));
+  const CheckResult res = checkTraceStream(in, "s.jsonl");
+  EXPECT_TRUE(res.ok()) << res.diagnostics[0];
+  EXPECT_EQ(res.summary, "OK s.jsonl: 1 streams, move=1, sample=1, settle=1");
+}
+
+TEST(TraceCheck, RejectsEachViolationAtItsLine) {
+  const std::string move = traceLine("move", "0");
+  const std::string settle = traceLine("settle", "1");
+  const std::vector<BadStream> cases{
+      {{move, traceLine("teleport", "1")}, "s.jsonl:2", "unknown event kind 'teleport'"},
+      {{move, R"({"cell": "c", "seed": "1", "event": "sample", "t": "1"})"},
+       "s.jsonl:2", "sample line has keys"},
+      {{move, traceLine("settle", "1", "x")}, "s.jsonl:2", "'x' is neither a number nor '-'"},
+      {{traceLine("move", "5"), traceLine("settle", "3")}, "s.jsonl:2",
+       "time went backwards"},
+      {{move, traceLine("collapse", "1")}, "s.jsonl:2", "collapse before matching settle"},
+      {{move, settle, sampleLine("1", "2")}, "s.jsonl:3",
+       "final sampled settled count 2 != settle-collapse balance 1"},
+      {{sampleLine("0", "0")}, "s.jsonl:1", "no settle/move events"},
+  };
+  for (const BadStream& bad : cases) expectFirstViolation(checkTraceStream, bad);
+}
+
+// Every kind the library can emit, written by the real trace sink, passes
+// the checker: the emitter and the checker read one definition.
+TEST(TraceCheck, EveryTraceEventKindPassesThroughTraceJsonl) {
+  std::stringstream out;
+  exp::TraceJsonl sink(out, 1);
+  RunOptions opts;
+  sink.observe(exp::CellKey{"path:n=8", 4}, 7, opts);
+  const std::vector<TraceEventKind> kinds = traceEventKinds();
+  ASSERT_EQ(kinds.size(), 11u);
+  std::uint64_t t = 0;
+  for (const TraceEventKind k : kinds) {
+    opts.onEvent(TraceEvent{k, t++, 0, 3, kNoTraceLabel, 1});
+  }
+  StepSnapshot last;
+  last.time = t;
+  last.settled = 0;  // one settle, then one collapse
+  opts.onRound(last);
+  const CheckResult res = checkTraceStream(out, "trace.jsonl");
+  ASSERT_TRUE(res.ok()) << res.diagnostics[0];
+  for (const TraceEventKind k : kinds) {
+    EXPECT_NE(res.summary.find(std::string(traceEventKindName(k)) + "=1"),
+              std::string::npos)
+        << res.summary;
+  }
+}
+
+TEST(FleetEventsCheck, RejectsEachViolationAtItsLine) {
+  const std::string start = fleetLine(
+      "1", "0", "run_start",
+      R"("sweeps": "scenario", "fleet": "local:2", "shards": "1", "workers": "2", "cells": "4", "resumed": "no")");
+  const std::string spawn = fleetLine(
+      "2", "1", "spawn",
+      R"("shard": "0", "attempt": "1", "pid": "42", "worker": "local", "output": "o.jsonl")");
+  const std::string exit = fleetLine(
+      "3", "2", "exit",
+      R"("shard": "0", "attempt": "1", "pid": "42", "code": "0", "signal": "-")");
+  const std::string done = fleetLine("4", "3", "run_done", R"("ok": "yes", "failed_shards": "")");
+  std::stringstream good(joinLines({start, spawn, exit, done}));
+  const CheckResult res = checkFleetEvents(good, "s.jsonl");
+  EXPECT_TRUE(res.ok()) << res.diagnostics[0];
+  EXPECT_EQ(res.summary, "OK s.jsonl: seq 4, exit=1, run_done=1, run_start=1, spawn=1");
+
+  const std::vector<BadStream> cases{
+      {{start, fleetLine("2", "1", "teleport", R"("shard": "0")")}, "s.jsonl:2",
+       "unknown event kind 'teleport'"},
+      {{start, fleetLine("2", "1", "poison", R"("shard": "0")")}, "s.jsonl:2",
+       "poison line has keys"},
+      {{start, fleetLine("2", "1", "poison", R"("shard": "zero", "attempts": "1")")},
+       "s.jsonl:2", "'zero' is not a non-negative integer"},
+      {{start, spawn, fleetLine("2", "2", "poison", R"("shard": "0", "attempts": "1")")},
+       "s.jsonl:3", "seq not strictly increasing: 2 -> 2"},
+      {{start, spawn, fleetLine("3", "0", "poison", R"("shard": "0", "attempts": "1")")},
+       "s.jsonl:3", "t_ms went backwards"},
+      {{start, spawn, exit}, "s.jsonl:3", "does not end with run_done (last: exit)"},
+      {{start, exit, done}, "s.jsonl:2", "exit without a spawn"},
+      {{start, fleetLine("2", "1", "run_done", R"("ok": "maybe", "failed_shards": "")")},
+       "s.jsonl:2", "'ok' = 'maybe' is not yes/no"},
+      {{spawn, done}, "s.jsonl:1", "first event is not run_start"},
+  };
+  for (const BadStream& bad : cases) expectFirstViolation(checkFleetEvents, bad);
+}
+
+TEST(FleetEventsCheck, EmitRefusesLinesOutsideTheSchema) {
+  const std::string dir = testDir("emit_schema");
+  const std::string path = dir + "/" + kEventsFile;
+  {
+    FleetEventLog log(path);
+    EXPECT_THROW(log.emit("teleport", {}), std::logic_error);
+    EXPECT_THROW(log.emit("poison", {{"shard", "0"}}), std::logic_error);
+    EXPECT_THROW(log.emit("poison", {{"shard", "0"}, {"attempts", "1"}, {"x", "1"}}),
+                 std::logic_error);
+    log.emit("run_start", {{"sweeps", "scenario"}, {"fleet", "local:2"},
+                           {"shards", "1"}, {"workers", "2"}, {"cells", "4"},
+                           {"resumed", "no"}});
+    // Field order is free; the key set is what the schema fixes.
+    log.emit("run_done", {{"failed_shards", ""}, {"ok", "yes"}});
+  }
+  const CheckResult res = checkFile(path);
+  EXPECT_TRUE(res.ok()) << res.diagnostics[0];
+  EXPECT_NE(res.summary.find("seq 2,"), std::string::npos) << res.summary;
+}
+
+TEST(FleetChecks, CheckFileSniffsTheStreamKind) {
+  const std::string dir = testDir("sniff");
+  writeFile(dir + "/trace.jsonl",
+            joinLines({traceLine("move", "0"), traceLine("settle", "1")}));
+  EXPECT_TRUE(checkFile(dir + "/trace.jsonl").ok());
+  // Anything without "seq" is held to the trace schema.
+  writeFile(dir + "/rows.jsonl", std::string(kRowA) + "\n");
+  const CheckResult rows = checkFile(dir + "/rows.jsonl");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_NE(rows.diagnostics[0].find("rows.jsonl:1: unknown event kind"), std::string::npos)
+      << rows.diagnostics[0];
+  writeFile(dir + "/empty.jsonl", "\n");
+  const CheckResult empty = checkFile(dir + "/empty.jsonl");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.diagnostics[0].find("no settle/move events"), std::string::npos);
+  EXPECT_FALSE(checkFile(dir + "/absent.jsonl").ok());
+}
+
+TEST(FleetChecks, DiffFactsComparesRowMultisetsWithoutTelemetry) {
+  const std::string dir = testDir("diff");
+  const std::string rowA = kRowA;
+  const std::string rowB = kRowB;
+  writeFile(dir + "/ref.jsonl", rowA + "\n" + rowB + "\n");
+  // Reordered rows plus a telemetry column: the same facts.
+  std::string timedB = rowB;
+  timedB.insert(timedB.size() - 1, R"(, "peak_rss_mb": "9.5")");
+  writeFile(dir + "/same.jsonl", timedB + "\n" + rowA + "\n");
+  const CheckResult same = diffFacts(dir + "/ref.jsonl", dir + "/same.jsonl");
+  EXPECT_TRUE(same.ok()) << same.diagnostics[0];
+  EXPECT_EQ(same.summary, "2 rows fact-identical");
+
+  // One fact edited: both sides name their odd row by path:line.
+  std::string editedA = rowA;
+  editedA.replace(editedA.find(R"("moves": "9")"), 12, R"("moves": "8")");
+  writeFile(dir + "/edit.jsonl", rowB + "\n" + editedA + "\n");
+  const CheckResult edit = diffFacts(dir + "/ref.jsonl", dir + "/edit.jsonl");
+  ASSERT_EQ(edit.diagnostics.size(), 2u);
+  EXPECT_EQ(edit.diagnostics[0].rfind(dir + "/ref.jsonl:1: row not in", 0), 0u)
+      << edit.diagnostics[0];
+  EXPECT_EQ(edit.diagnostics[1].rfind(dir + "/edit.jsonl:2: row not in", 0), 0u)
+      << edit.diagnostics[1];
+  EXPECT_EQ(edit.summary, "fact divergence: 2 reference rows vs 2 candidate rows, 1+1 differ");
+
+  // A repeated row is not the same multiset.
+  writeFile(dir + "/twice.jsonl", rowA + "\n" + rowA + "\n");
+  EXPECT_FALSE(diffFacts(dir + "/ref.jsonl", dir + "/twice.jsonl").ok());
 }
 
 // ------------------------------------------------------------ transport
@@ -435,62 +656,27 @@ int exitCode(const std::string& cmd) {
   return 128 + (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
 }
 
-/// Fact payloads (sorted key=value, telemetry stripped) of the
-/// {"table": "cell"} rows in a JSONL file — the byte-identity the fleet
-/// must preserve against an unsharded reference.
-std::multiset<std::string> cellFacts(const std::string& path) {
-  std::multiset<std::string> out;
-  std::ifstream in(path);
-  EXPECT_TRUE(in) << path;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const JsonValue row = JsonValue::parse(line);
-    const JsonValue* table = row.find("table");
-    if (table == nullptr || table->asString() != "cell") continue;
-    std::vector<std::string> kvs;
-    for (const auto& [key, value] : row.members()) {
-      if (isTelemetryColumn(key)) continue;
-      kvs.push_back(key + "=" + value.asString());
-    }
-    std::sort(kvs.begin(), kvs.end());
-    std::string joined;
-    for (const std::string& kv : kvs) joined += kv + "|";
-    out.insert(joined);
-  }
-  return out;
+/// The fleet's merged output must match the unsharded reference on every
+/// fact column (disp_fleet diff's check).
+void expectSameFacts(const std::string& ref, const std::string& cand) {
+  const CheckResult res = diffFacts(ref, cand);
+  EXPECT_TRUE(res.ok()) << res.summary << "\n"
+                        << (res.diagnostics.empty() ? "" : res.diagnostics[0]);
 }
 
-/// Schema gate over fleet_events.jsonl: every line is JSON with seq/t_ms/
-/// event, seq strictly increases, kinds are known, run_start opens and
-/// run_done closes.
-void checkEvents(const std::string& path, const std::string& wantOk) {
-  const std::set<std::string> kKinds{
-      "run_start", "resume",   "spawn", "exit",       "stall", "chaos_kill",
-      "retry",     "poison",   "shard_done", "merge", "divergence", "run_done"};
+/// fleet_events.jsonl passes the schema checker and its final run_done
+/// reports `wantOk`.
+void expectEventsPass(const std::string& path, const std::string& wantOk) {
   std::ifstream in(path);
   ASSERT_TRUE(in) << path;
-  std::string line;
-  std::uint64_t lastSeq = 0;
-  std::string firstKind, lastKind, lastOkField;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const JsonValue row = JsonValue::parse(line);
-    ASSERT_NE(row.find("seq"), nullptr) << line;
-    ASSERT_NE(row.find("t_ms"), nullptr) << line;
-    ASSERT_NE(row.find("event"), nullptr) << line;
-    const std::uint64_t seq = std::stoull(row.find("seq")->asString());
-    EXPECT_GT(seq, lastSeq) << "seq must be strictly monotonic: " << line;
-    lastSeq = seq;
-    const std::string kind = row.find("event")->asString();
-    EXPECT_TRUE(kKinds.count(kind) > 0) << "unknown event kind: " << line;
-    if (firstKind.empty()) firstKind = kind;
-    lastKind = kind;
-    if (kind == "run_done") lastOkField = row.find("ok")->asString();
+  const CheckResult res = checkFleetEvents(in, path);
+  ASSERT_TRUE(res.ok()) << res.diagnostics[0];
+  std::ifstream again(path);
+  std::string line, last;
+  while (std::getline(again, line)) {
+    if (!line.empty()) last = line;
   }
-  EXPECT_EQ(firstKind, "run_start");
-  EXPECT_EQ(lastKind, "run_done");
-  EXPECT_EQ(lastOkField, wantOk);
+  EXPECT_EQ(JsonValue::parse(last).find("ok")->asString(), wantOk);
 }
 
 std::string refJsonl() {
@@ -589,8 +775,17 @@ TEST(FleetE2E, FleetRunMatchesUnshardedReference) {
                      dir + "/fleet.out 2>&1"),
             0)
       << slurp(dir + "/fleet.out");
-  EXPECT_EQ(cellFacts(dir + "/" + kMergedFile), cellFacts(refJsonl()));
-  checkEvents(dir + "/" + kEventsFile, "yes");
+  expectSameFacts(refJsonl(), dir + "/" + kMergedFile);
+  expectEventsPass(dir + "/" + kEventsFile, "yes");
+  // The same two gates through the CLI.
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " check " + dir + "/" +
+                     kEventsFile + " > " + dir + "/check.out 2>&1"),
+            0)
+      << slurp(dir + "/check.out");
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " diff " + refJsonl() + " " + dir +
+                     "/" + kMergedFile + " > " + dir + "/diff.out 2>&1"),
+            0)
+      << slurp(dir + "/diff.out");
   const Manifest m = Manifest::load(dir + "/" + kManifestFile);
   EXPECT_EQ(m.shardCount, 2u);
   for (const ShardEntry& sh : m.shards) {
@@ -619,8 +814,7 @@ TEST(FleetE2E, ResumeCompletesAKilledShard) {
                      "/run1.out 2>&1"),
             0)
       << slurp(dir + "/run1.out");
-  const std::multiset<std::string> want = cellFacts(dir + "/" + kMergedFile);
-  EXPECT_EQ(want, cellFacts(refJsonl()));
+  expectSameFacts(refJsonl(), dir + "/" + kMergedFile);
 
   // Simulate a worker SIGKILL'd mid-shard after one flushed row plus a torn
   // tail, with the coordinator dead before observing the exit: shard 0 is
@@ -643,12 +837,12 @@ TEST(FleetE2E, ResumeCompletesAKilledShard) {
       << slurp(dir + "/run2.out");
   // Facts byte-identical to the unsharded reference; shard 0 relaunched
   // once (attempt 2), shard 1 untouched.
-  EXPECT_EQ(cellFacts(dir + "/" + kMergedFile), want);
+  expectSameFacts(refJsonl(), dir + "/" + kMergedFile);
   const Manifest after = Manifest::load(dir + "/" + kManifestFile);
   EXPECT_EQ(after.shards[0].attempts, 2u);
   EXPECT_EQ(after.shards[0].outputs.size(), 2u);
   EXPECT_EQ(after.shards[1].attempts, 1u);
-  checkEvents(dir + "/" + kEventsFile, "yes");
+  expectEventsPass(dir + "/" + kEventsFile, "yes");
 }
 
 TEST(FleetE2E, PoisonsPersistentFailuresAndResumeRecovers) {
@@ -667,7 +861,7 @@ TEST(FleetE2E, PoisonsPersistentFailuresAndResumeRecovers) {
     EXPECT_EQ(sh.state, ShardState::Failed);
     EXPECT_EQ(sh.attempts, 2u);  // maxAttempts failures burned
   }
-  checkEvents(dir + "/" + kEventsFile, "no");
+  expectEventsPass(dir + "/" + kEventsFile, "no");
   EXPECT_FALSE(fs::exists(dir + "/" + kMergedFile));
 
   // --resume with a working bench grants a fresh attempt budget and
@@ -676,8 +870,8 @@ TEST(FleetE2E, PoisonsPersistentFailuresAndResumeRecovers) {
                      dir + "/run2.out 2>&1"),
             0)
       << slurp(dir + "/run2.out");
-  EXPECT_EQ(cellFacts(dir + "/" + kMergedFile), cellFacts(refJsonl()));
-  checkEvents(dir + "/" + kEventsFile, "yes");
+  expectSameFacts(refJsonl(), dir + "/" + kMergedFile);
+  expectEventsPass(dir + "/" + kEventsFile, "yes");
 }
 
 TEST(FleetE2E, MergeCliAuditsDivergence) {
@@ -700,6 +894,63 @@ TEST(FleetE2E, MergeCliAuditsDivergence) {
                      "/b.jsonl > " + dir + "/out.txt 2>&1"),
             0);
   EXPECT_NE(slurp(dir + "/out.txt").find("merged 2 rows"), std::string::npos);
+}
+
+TEST(FleetE2E, CheckCliGatesATraceAndDiffCliGatesFacts) {
+  const std::string dir = testDir("check_cli");
+  ASSERT_EQ(exitCode(std::string(DISP_BENCH_BIN) + " trace_smoke --trace=" + dir +
+                     "/t.jsonl --sample=4 > /dev/null 2>&1"),
+            0);
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " check " + dir + "/t.jsonl > " +
+                     dir + "/ok.out 2>&1"),
+            0)
+      << slurp(dir + "/ok.out");
+  EXPECT_NE(slurp(dir + "/ok.out").find(": 6 streams, "), std::string::npos)
+      << slurp(dir + "/ok.out");
+  std::ofstream(dir + "/t.jsonl", std::ios::app)
+      << R"({"cell": "c", "seed": "1", "event": "teleport", "t": "0", "agent": "0", "node": "0", "a": "-", "b": "-"})"
+      << "\n";
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " check " + dir + "/t.jsonl > " +
+                     dir + "/bad.out 2>&1"),
+            1);
+  EXPECT_NE(slurp(dir + "/bad.out").find("unknown event kind 'teleport'"),
+            std::string::npos)
+      << slurp(dir + "/bad.out");
+
+  writeFile(dir + "/a.jsonl", std::string(kRowA) + "\n");
+  writeFile(dir + "/b.jsonl", std::string(kRowB) + "\n");
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " diff " + dir + "/a.jsonl " + dir +
+                     "/b.jsonl > " + dir + "/diff.out 2>&1"),
+            1);
+  EXPECT_NE(slurp(dir + "/diff.out").find("fact divergence"), std::string::npos);
+  EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " diff " + dir + "/a.jsonl " + dir +
+                     "/a.jsonl > " + dir + "/diff.out 2>&1"),
+            0);
+}
+
+// Every subcommand refuses a flag it does not take, by name, instead of
+// ignoring it.
+TEST(FleetE2E, EverySubcommandRejectsUnknownFlags) {
+  const std::string dir = testDir("subcommand_flags");
+  writeFile(dir + "/a.jsonl", std::string(kRowA) + "\n");
+  const std::string a = dir + "/a.jsonl";
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"merge --out=" + dir + "/o.jsonl --partial-tial " + a, "--partial-tial"},
+      {"status --dri=" + dir, "--dri"},
+      {"check --strict " + a, "--strict"},
+      {"diff --tolerance=0 " + a + " " + a, "--tolerance"},
+      {"run scenario" + std::string(kAxes) + " --dir=" + dir + " --out=x.jsonl", "--out"},
+  };
+  for (const auto& [args, flag] : cases) {
+    EXPECT_EQ(exitCode(std::string(DISP_FLEET_BIN) + " " + args + " > " + dir +
+                       "/out.txt 2>&1"),
+              2)
+        << args;
+    EXPECT_NE(slurp(dir + "/out.txt").find("unknown flag " + flag), std::string::npos)
+        << slurp(dir + "/out.txt");
+  }
+  EXPECT_FALSE(fs::exists(dir + "/o.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/" + kManifestFile));
 }
 
 TEST(FleetE2E, RunRejectsCoordinatorOwnedFlags) {

@@ -3,6 +3,8 @@
 //   disp_fleet run scale_real --fleet=local:8 --dir=campaign --resume
 //   disp_fleet merge --out=all.jsonl shard_0of4.attempt1.jsonl ...
 //   disp_fleet status --dir=campaign
+//   disp_fleet check campaign/fleet_events.jsonl   (or a --trace file)
+//   disp_fleet diff reference.jsonl campaign/merged.jsonl
 //
 // `run` enumerates the selected sweeps' cells (disp_bench --list-cells
 // semantics, in-process), sizes a shard partition, records it in a durable
@@ -13,12 +15,15 @@
 // --threads, ...) works unchanged.
 #include <algorithm>
 #include <filesystem>
+#include <initializer_list>
 #include <iostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/bench_registry.hpp"
+#include "fleet/check.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/manifest.hpp"
 #include "fleet/supervisor.hpp"
@@ -39,14 +44,18 @@ void printUsage(std::ostream& os) {
         "                   [any disp_bench flag — forwarded to every worker]\n"
         "       disp_fleet merge --out=PATH [--dup=error|dedup] [--partial-tail]\n"
         "                   <shard.jsonl>...\n"
-        "       disp_fleet status [--dir=DIR]\n\n"
+        "       disp_fleet status [--dir=DIR]\n"
+        "       disp_fleet check <fleet_events.jsonl | trace.jsonl>\n"
+        "       disp_fleet diff <reference.jsonl> <candidate.jsonl>\n\n"
         "run writes DIR/fleet_manifest.json (durable shard states),\n"
         "DIR/fleet_events.jsonl (spawn/exit/retry/resume/merge log,\n"
         "monotonic seq) and, on success, DIR/merged.jsonl with telemetry-\n"
         "exempt divergence auditing.  --resume rescans flushed shard rows\n"
         "and relaunches only unfinished shards.  A worker whose JSONL\n"
         "stops growing for --stall-timeout seconds is killed and retried\n"
-        "(exponential backoff); --max-attempts failures poison the shard.\n";
+        "(exponential backoff); --max-attempts failures poison the shard.\n"
+        "check validates either stream's schema; diff compares two result\n"
+        "files' fact columns (telemetry stripped) as row multisets.\n";
 }
 
 int usageError(const std::string& what) {
@@ -61,9 +70,18 @@ bool fleetOwnedFlag(const std::string& key) {
       "fleet",        "dir",           "shards",  "cells-per-shard",
       "max-attempts", "stall-timeout", "backoff", "poll-interval",
       "bench",        "resume",        "chaos-kill-rows",
-      "out",          "dup",           "partial-tail",
   };
   return kOwned.count(key) > 0;
+}
+
+// Usage error naming the first flag outside `known`; 0 when there is none.
+int rejectUnknownFlags(const Cli& cli, std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : cli.flags()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return usageError("unknown flag --" + key);
+    }
+  }
+  return 0;
 }
 
 // Flags whose per-worker values the coordinator computes itself; a user
@@ -197,6 +215,7 @@ int cmdRun(const Cli& cli) {
 }
 
 int cmdMerge(const Cli& cli) {
+  if (const int rc = rejectUnknownFlags(cli, {"out", "dup", "partial-tail"})) return rc;
   const std::string out = cli.str("out", "");
   if (out.empty()) return usageError("merge wants --out=PATH");
   const std::string dup = cli.str("dup", "error");
@@ -230,6 +249,7 @@ int cmdMerge(const Cli& cli) {
 }
 
 int cmdStatus(const Cli& cli) {
+  if (const int rc = rejectUnknownFlags(cli, {"dir"})) return rc;
   const std::string dir = cli.str("dir", ".");
   const std::string path = (fs::path(dir) / disp::fleet::kManifestFile).string();
   if (!fs::exists(path)) {
@@ -261,6 +281,21 @@ int cmdStatus(const Cli& cli) {
   return 0;
 }
 
+// `check FILE` and `diff REF CAND`: run the checker, print its report.
+int cmdCheck(const Cli& cli) {
+  if (const int rc = rejectUnknownFlags(cli, {})) return rc;
+  const std::vector<std::string>& args = cli.positional();
+  const bool diff = args[0] == "diff";
+  if (args.size() != (diff ? 3u : 2u)) {
+    return usageError(diff ? "diff wants two files" : "check wants one file");
+  }
+  const disp::fleet::CheckResult res = diff ? disp::fleet::diffFacts(args[1], args[2])
+                                            : disp::fleet::checkFile(args[1]);
+  for (const std::string& d : res.diagnostics) std::cerr << "error: " << d << "\n";
+  if (!res.summary.empty()) (res.ok() ? std::cout : std::cerr) << res.summary << "\n";
+  return res.ok() ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -274,8 +309,9 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmdRun(cli);
     if (cmd == "merge") return cmdMerge(cli);
     if (cmd == "status") return cmdStatus(cli);
+    if (cmd == "check" || cmd == "diff") return cmdCheck(cli);
     return usageError("unknown subcommand '" + cmd +
-                      "' (run | merge | status)");
+                      "' (run | merge | status | check | diff)");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -3,10 +3,9 @@
 // Enforces the byte-identical-facts contract (DESIGN.md §12) over the fact
 // paths (src/core/, src/algo/) and the wider src/ tree: no hash-order
 // iteration, no wall-clock/entropy sources, no pointer ordering, no side
-// effects in DISP_CHECK arguments, no mutable static state — plus the
-// TraceEvent ↔ check_trace.sh schema cross-check.  Token-level by design:
-// it runs in milliseconds on every build, needs no compiler front end, and
-// over-approximates; `// displint: allow(RULE) — justification` records the
+// effects in DISP_CHECK arguments, no mutable static state.  Token-level
+// by design: it runs in milliseconds on every build, needs no compiler
+// front end, and over-approximates; `// displint: allow(RULE) — justification` records the
 // reviewed exceptions in place.
 //
 // Usage:
@@ -27,6 +26,7 @@
 
 #include "lexer.hpp"
 #include "rules.hpp"
+#include "util/json.hpp"
 
 namespace fs = std::filesystem;
 using displint::FileInput;
@@ -101,9 +101,7 @@ Scope classify(const std::string& relPath, const std::string& assume) {
   return s;
 }
 
-/// Minimal compile_commands.json reader: collects the values of every
-/// "file" key.  Tolerates any formatting clang/cmake emit; handles the
-/// standard JSON string escapes.
+/// The "file" value of every compile_commands.json entry.
 std::vector<std::string> compdbFiles(const std::string& path, std::string& err) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
@@ -112,30 +110,14 @@ std::vector<std::string> compdbFiles(const std::string& path, std::string& err) 
   }
   std::stringstream ss;
   ss << f.rdbuf();
-  const std::string text = ss.str();
   std::vector<std::string> files;
-  std::size_t i = 0;
-  auto readString = [&](std::size_t start, std::string& out) -> std::size_t {
-    std::size_t j = start;
-    for (; j < text.size(); ++j) {
-      if (text[j] == '\\' && j + 1 < text.size()) {
-        const char e = text[j + 1];
-        out += e == 'n' ? '\n' : e == 't' ? '\t' : e;
-        ++j;
-        continue;
-      }
-      if (text[j] == '"') return j + 1;
-      out += text[j];
+  try {
+    const disp::JsonValue db = disp::JsonValue::parse(ss.str());
+    for (const disp::JsonValue& entry : db.items()) {
+      if (const disp::JsonValue* file = entry.find("file")) files.push_back(file->asString());
     }
-    return j;
-  };
-  while ((i = text.find("\"file\"", i)) != std::string::npos) {
-    i += 6;
-    while (i < text.size() && (text[i] == ' ' || text[i] == ':' || text[i] == '\n')) ++i;
-    if (i >= text.size() || text[i] != '"') continue;
-    std::string value;
-    i = readString(i + 1, value);
-    files.push_back(std::move(value));
+  } catch (const std::exception& e) {
+    err = "bad compilation database " + path + ": " + e.what();
   }
   return files;
 }
@@ -225,7 +207,6 @@ int main(int argc, char** argv) {
     displint::runFileRules(in, findings);
     inputs.push_back(std::move(in));
   }
-  displint::runCrossRules(opt.root, findings);
 
   std::size_t suppressed = 0;
   for (FileInput& in : inputs) {
