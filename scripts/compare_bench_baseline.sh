@@ -7,9 +7,11 @@
 #
 # Without a JSONL argument the script runs `disp_bench` itself (at the
 # baseline's scale).  Identity columns (k, n, family, sched, ...) must
-# match exactly; metric columns may improve freely but may not regress
-# past the tolerance; every other column (telemetry, derived ratios) is
-# skipped.
+# match exactly; metric columns may not regress past the tolerance, and
+# may improve freely except at DISP_BENCH_TOLERANCE=0, where any change
+# fails (an improvement means the baseline must be re-recorded on purpose
+# with scripts/record_bench_baseline.sh); every other column (telemetry,
+# derived ratios) is skipped.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -94,6 +96,11 @@ for name, bench in baseline["benches"].items():
                          f"{bnum:g} -> {fnum:g} (tolerance +{tol:.0%})")
                 elif fnum < bnum * (1.0 - tol):
                     improvements += 1
+                    if tol == 0:
+                        fail(f"{name} row {i} ({ident}): {key} improved "
+                             f"{bnum:g} -> {fnum:g} at tolerance 0 — re-record "
+                             "BENCH_table1.json on purpose "
+                             "(scripts/record_bench_baseline.sh)")
 
 total = sum(len(b["rows"]) for b in baseline["benches"].values())
 print(f"compared {total} baseline rows: {failures} failures "

@@ -1,7 +1,6 @@
 #include "algo/general_async.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "algo/protocol_common.hpp"
@@ -17,45 +16,32 @@ constexpr std::uint64_t kWaitGuard = 1ULL << 26;
 }  // namespace
 
 GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
-    : engine_(engine),
-      st_(engine.agentCount()),
-      proberIdx_(engine.agentCount(), engine.graph().nodeCount()),
-      posIdx_(0),  // resized below once the group count is known
+    : AsyncGrowth(engine, engine.agentCount(), stats_),  // probe up to min(δ(w), k)
+      chain_(engine.agentCount()),
+      posIdx_(labelCount()),
+      groups_(labelCount()),
       widths_(BitWidths::forRun(4ULL * engine.agentCount(), engine.graph().maxDegree(),
                                 engine.agentCount())),
       leadQueued_(engine.agentCount(), kNoGroup),
-      anchorOf_(engine.agentCount(), kNoGroup) {
-  // One group per initially occupied node.
-  std::set<NodeId> startNodes;
+      anchorOf_(engine.agentCount(), kNoGroup),
+      rescanFound_(labelCount(), 0) {
+  // One group per initially occupied node (AsyncGrowth's starting labels),
+  // led by its largest-ID member.
+  for (Label l = 0; l < labelCount(); ++l) groups_[l].label = l;
   for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    startNodes.insert(engine_.positionOf(a));
-  }
-  for (const NodeId s : startNodes) {
-    GroupCtx ctx;
-    ctx.label = static_cast<Label>(groups_.size());
-    for (const AgentIx a : engine_.agentsAt(s)) {
-      st_[a].label = ctx.label;
-      ++ctx.total;
-      if (ctx.leader == kNoAgent || engine_.idOf(a) > engine_.idOf(ctx.leader)) {
-        ctx.leader = a;
-      }
+    GroupCtx& ctx = groups_[st_[a].label];
+    ++ctx.total;
+    ++ctx.unsettled;
+    if (ctx.leader == kNoAgent || engine_.idOf(a) > engine_.idOf(ctx.leader)) {
+      ctx.leader = a;
     }
-    ctx.unsettled = ctx.total;
-    groups_.push_back(ctx);
-  }
-  for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
-  probeNext_.assign(groups_.size(), kNoPort);
-  probeMet_.assign(groups_.size(), {});
-  rescanFound_.assign(groups_.size(), 0);
-
-  // Seed the probe indexes (everyone starts unsettled) and keep them in
-  // lock-step with the world through the engine's move hook; membership
-  // and label transitions are maintained at the protocol sites.
-  posIdx_ = GroupPositionIndex(static_cast<std::uint32_t>(groups_.size()));
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    proberIdx_.insert(a, engine_.positionOf(a));
     posIdx_.add(st_[a].label, engine_.positionOf(a));
   }
+  for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
+
+  // Keep both indexes in lock-step with the world through the engine's
+  // move hook; membership and label transitions are maintained at the
+  // protocol sites.
   engine_.setMoveHook([this](AgentIx a, NodeId from, NodeId to) {
     proberIdx_.relocate(a, to);
     if (!st_[a].settled) posIdx_.move(st_[a].label, from, to);
@@ -66,16 +52,6 @@ void GeneralAsyncDispersion::start() {
   for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
     engine_.setAgentFiber(a, agentFiber(a));
   }
-}
-
-bool GeneralAsyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled || st_[a].isGuest) return false;
-    if (engine_.positionOf(a) != st_[a].settledAt) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
 }
 
 std::uint64_t GeneralAsyncDispersion::agentBits(AgentIx a) const {
@@ -105,63 +81,11 @@ std::uint32_t GeneralAsyncDispersion::resolveGroup(std::uint32_t g) const {
   return g;
 }
 
-AgentIx GeneralAsyncDispersion::homeSettlerAt(NodeId v, Label label) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v &&
-        st_[a].label == label) {
-      return a;
-    }
-  }
-  return kNoAgent;
-}
-
 AgentIx GeneralAsyncDispersion::anySettlerAt(NodeId v) const {
   for (const AgentIx a : engine_.agentsAt(v)) {
     if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v) return a;
   }
   return kNoAgent;
-}
-
-const std::vector<AgentIx>& GeneralAsyncDispersion::availableProbersAt(
-    NodeId w, Label label) const {
-  // Own-label unsettled agents and guest helpers, idle (no pending orders),
-  // ascending by ID so the leader is drafted as late as its ID allows.
-  // The index bucket already holds exactly the followers and guests at w;
-  // the label and the fast-changing order flags are filtered here
-  // (DESIGN.md §9).  Scratch reuse is safe: every caller consumes the
-  // list before its next co_await (single-threaded engine), so no
-  // interleaved call clobbers it.
-  std::vector<AgentIx>& avail = probersScratch_;
-  avail.clear();
-  for (const AgentIx a : proberIdx_.membersAt(w)) {
-    const AgentState& s = st_[a];
-    if (s.label != label) continue;
-    if (s.orderProbePort != kNoPort || s.needReport || s.needRegister) continue;
-    if (s.orderGoHome || s.orderChaperone != kNoPort) continue;
-    if (s.orderFollow != kNoPort) continue;
-    avail.push_back(a);
-  }
-  std::sort(avail.begin(), avail.end(),
-            [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
-#ifndef NDEBUG
-  // Cross-check the index against the naive occupant scan it replaced.
-  std::vector<AgentIx> naive;
-  for (const AgentIx a : engine_.agentsAt(w)) {
-    const AgentState& s = st_[a];
-    if (s.label != label) continue;
-    const bool follower = !s.settled;
-    const bool guest = s.settled && s.isGuest;
-    if (!follower && !guest) continue;
-    if (s.orderProbePort != kNoPort || s.needReport || s.needRegister) continue;
-    if (s.orderGoHome || s.orderChaperone != kNoPort) continue;
-    if (s.orderFollow != kNoPort) continue;
-    naive.push_back(a);
-  }
-  std::sort(naive.begin(), naive.end(),
-            [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
-  DISP_CHECK(avail == naive, "IdleProberIndex drifted from the world");
-#endif
-  return avail;
 }
 
 bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
@@ -188,15 +112,9 @@ std::uint32_t GeneralAsyncDispersion::globalUnsettled() const {
 
 void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
                                     Port parentPort) {
-  AgentState& s = st_[a];
-  DISP_CHECK(!s.settled, "double settle");
-  s.settled = true;
-  s.settledAt = at;
-  s.parentPort = parentPort;
-  s.checked = 0;
-  s.firstChildPort = s.latestChildPort = s.nextSiblingPort = kNoPort;
-  proberIdx_.erase(a);  // settlers stop being prober-eligible
-  posIdx_.remove(s.label, at);
+  markSettled(a, at, parentPort);
+  chain_[a] = {};
+  posIdx_.remove(st_[a].label, at);
   --groups_[gi].unsettled;
   engine_.traceSettle(a, groups_[gi].label);
   recordMemory();
@@ -231,28 +149,6 @@ void GeneralAsyncDispersion::absorbGroup(std::uint32_t gi, std::uint32_t mi) {
   recordMemory();
 }
 
-GeneralAsyncDispersion::ProbeSight GeneralAsyncDispersion::observeAndRecruit(
-    AgentIx self, Label label) {
-  // The communicate step of a probe, shared by participant probers and the
-  // leader's own trips: classify the probed node and recruit an own-label
-  // home settler as a guest helper, routed back through the prober's pin.
-  const NodeId ui = engine_.positionOf(self);
-  ProbeSight sight;
-  sight.settler = homeSettlerAt(ui, label);
-  for (const AgentIx b : engine_.agentsAt(ui)) {
-    if (b != self && st_[b].label != label) {
-      if (sight.met == kNoLabel || st_[b].label < sight.met) sight.met = st_[b].label;
-    }
-  }
-  sight.empty = (engine_.countAt(ui) == 1);
-  if (sight.settler != kNoAgent) {
-    st_[sight.settler].orderGuestGoTo = engine_.pinOf(self);
-    st_[sight.settler].isGuest = true;
-    proberIdx_.insert(sight.settler, ui);  // guests are prober-eligible
-  }
-  return sight;
-}
-
 void GeneralAsyncDispersion::adoptAt(std::uint32_t gi, Label fromLabel, NodeId v) {
   if (fromLabel == groups_[gi].label) return;  // self-collapse: already ours
   for (const AgentIx a : engine_.agentsAt(v)) {
@@ -268,123 +164,6 @@ void GeneralAsyncDispersion::adoptAt(std::uint32_t gi, Label fromLabel, NodeId v
   }
 }
 
-// ---------------------------------------------------------- participant
-
-Task GeneralAsyncDispersion::participantStep(AgentIx self) {
-  AgentState& me = st_[self];
-
-  // --- prober errand (followers and guests) ---
-  if (me.orderProbePort != kNoPort) {
-    const Port p = me.orderProbePort;
-    me.orderProbePort = kNoPort;
-    engine_.move(self, p);  // arrive at the neighbor u_i
-    co_await engine_.nextActivation(self);
-    const ProbeSight sight = observeAndRecruit(self, me.label);
-    me.reportEmpty = sight.empty;
-    me.reportGuest = (sight.settler != kNoAgent);
-    me.reportMet = sight.met;
-    engine_.move(self, engine_.pinOf(self));  // return to w
-    me.needReport = true;
-    co_return;
-  }
-
-  // --- report probe results at w (next activation after returning) ---
-  if (me.needReport) {
-    me.needReport = false;
-    const NodeId w = engine_.positionOf(self);
-    const AgentIx aw = homeSettlerAt(w, me.label);
-    DISP_CHECK(aw != kNoAgent, "probe report: no settler at w");
-    AgentState& bb = st_[aw];
-    ++bb.retCount;
-    if (me.reportEmpty) {
-      // The port of w this prober was assigned is recoverable from its own
-      // pin: it returned through the same edge.
-      const Port portOfW = engine_.pinOf(self);
-      if (bb.nextFound == kNoPort || portOfW < bb.nextFound) bb.nextFound = portOfW;
-    }
-    if (me.reportGuest) ++bb.guestExpected;
-    if (me.reportMet != kNoLabel) {
-      probeMet_[me.label].emplace_back(me.reportMet, engine_.pinOf(self));
-    }
-    me.reportEmpty = me.reportGuest = false;
-    me.reportMet = kNoLabel;
-    co_return;
-  }
-
-  // --- settled agent recruited as guest: travel to w ---
-  if (me.orderGuestGoTo != kNoPort) {
-    const Port p = me.orderGuestGoTo;
-    me.orderGuestGoTo = kNoPort;
-    me.needRegister = true;
-    engine_.move(self, p);
-    co_return;
-  }
-  if (me.needRegister) {
-    me.needRegister = false;
-    me.guestEntryPort = engine_.pinOf(self);  // port of w back toward home
-    const AgentIx aw = homeSettlerAt(engine_.positionOf(self), me.label);
-    DISP_CHECK(aw != kNoAgent, "guest registration: no settler at w");
-    ++st_[aw].guestArrived;
-    co_return;
-  }
-
-  // --- see-off: guest walking home ---
-  if (me.orderGoHome) {
-    me.orderGoHome = false;
-    engine_.move(self, me.guestEntryPort);
-    me.guestEntryPort = kNoPort;
-    me.isGuest = false;  // home again (position == settledAt)
-    proberIdx_.erase(self);
-    co_return;
-  }
-
-  // --- see-off: guest chaperoning a partner to the partner's home ---
-  if (me.orderChaperone != kNoPort) {
-    const Port p = me.orderChaperone;
-    me.orderChaperone = kNoPort;
-    engine_.move(self, p);
-    // Wait at the partner's home until the partner (a settled own-label
-    // occupant) is present, then return to w and report.
-    for (;;) {
-      co_await engine_.nextActivation(self);
-      const NodeId here = engine_.positionOf(self);
-      if (homeSettlerAt(here, me.label) != kNoAgent) {
-        engine_.move(self, engine_.pinOf(self));
-        break;
-      }
-    }
-    co_await engine_.nextActivation(self);
-    const AgentIx aw = homeSettlerAt(engine_.positionOf(self), me.label);
-    DISP_CHECK(aw != kNoAgent, "chaperone report: no settler at w");
-    ++st_[aw].seeOffReturned;
-    co_return;
-  }
-
-  // --- settler α(w) escorting the final guest home ---
-  if (me.orderEscort != kNoPort) {
-    const Port p = me.orderEscort;
-    me.orderEscort = kNoPort;
-    engine_.move(self, p);
-    for (;;) {
-      co_await engine_.nextActivation(self);
-      const NodeId here = engine_.positionOf(self);
-      if (homeSettlerAt(here, me.label) != kNoAgent) {
-        engine_.move(self, engine_.pinOf(self));
-        break;
-      }
-    }
-    co_return;  // back at w; the leader detects the settler's presence
-  }
-
-  // --- plain group move order ---
-  if (me.orderFollow != kNoPort) {
-    const Port p = me.orderFollow;
-    me.orderFollow = kNoPort;
-    engine_.move(self, p);
-    co_return;
-  }
-}
-
 // --------------------------------------------------------------- fibers
 
 Task GeneralAsyncDispersion::agentFiber(AgentIx self) {
@@ -397,7 +176,7 @@ Task GeneralAsyncDispersion::agentFiber(AgentIx self) {
       continue;  // fall back to participant mode with a fresh activation
     }
     dormantDuties(self);
-    co_await participantStep(self);
+    if (hasOrder(self)) co_await participantStep(self);
   }
 }
 
@@ -475,151 +254,19 @@ Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, AgentIx se
   co_await engine_.nextActivation(self);
   const AgentIx prev = homeSettlerAt(engine_.positionOf(self), groups_[gi].label);
   DISP_CHECK(prev != kNoAgent, "previous child lost its settler");
-  st_[prev].nextSiblingPort = newChildPort;
+  chain_[prev].nextSiblingPort = newChildPort;
   engine_.move(self, engine_.pinOf(self));
   co_await engine_.nextActivation(self);
 }
 
-// --------------------------------------------------------------- probe
+// ------------------------------------------------------------ growing
 
-Task GeneralAsyncDispersion::leaderProbeTrip(std::uint32_t gi, AgentIx self,
-                                             Port port) {
-  engine_.move(self, port);
-  co_await engine_.nextActivation(self);
-  const ProbeSight sight = observeAndRecruit(self, groups_[gi].label);
-  engine_.move(self, engine_.pinOf(self));
-  co_await engine_.nextActivation(self);
-  // Report (the leader is back at w).
-  const AgentIx aw = homeSettlerAt(engine_.positionOf(self), groups_[gi].label);
-  DISP_CHECK(aw != kNoAgent, "leader probe report: no settler at w");
-  AgentState& bb = st_[aw];
-  ++bb.retCount;
-  if (sight.empty) {
-    const Port portOfW = engine_.pinOf(self);
-    if (bb.nextFound == kNoPort || portOfW < bb.nextFound) bb.nextFound = portOfW;
-  }
-  if (sight.settler != kNoAgent) ++bb.guestExpected;
-  if (sight.met != kNoLabel) probeMet_[gi].emplace_back(sight.met, engine_.pinOf(self));
-}
-
-Task GeneralAsyncDispersion::probePhase(std::uint32_t gi, AgentIx self) {
+Task GeneralAsyncDispersion::growAt(std::uint32_t gi, AgentIx self) {
   GroupCtx& ctx = groups_[gi];
   ctx.phase = "probe";
-  ++stats_.probes;
-  const Graph& g = engine_.graph();
-  const NodeId w = engine_.positionOf(self);
-  const AgentIx aw = homeSettlerAt(w, ctx.label);
-  DISP_CHECK(aw != kNoAgent, "probe at a node without an own settler");
-  const Port limit =
-      static_cast<Port>(std::min<std::uint32_t>(g.degree(w), engine_.agentCount()));
-
-  probeNext_[gi] = kNoPort;
-  probeMet_[gi].clear();
-
-  for (;;) {
-    AgentState& bb = st_[aw];
-    if (bb.checked >= limit) break;  // exhausted: probeNext_ stays ⊥
-
-    const auto& avail = availableProbersAt(w, ctx.label);
-    DISP_CHECK(!avail.empty(), "Async_Probe with no available agents");
-    const Port delta = static_cast<Port>(std::min<std::uint32_t>(
-        static_cast<std::uint32_t>(avail.size()), limit - bb.checked));
-    ++stats_.probeIterations;
-
-    bb.outCount = delta;
-    bb.retCount = 0;
-    bb.guestExpected = 0;
-    bb.guestArrived = 0;
-    bb.nextFound = kNoPort;
-
-    bool selfProbes = false;
-    Port selfPort = kNoPort;
-    for (Port i = 0; i < delta; ++i) {
-      const Port port = bb.checked + 1 + i;
-      if (avail[i] == self) {
-        selfProbes = true;
-        selfPort = port;
-      } else {
-        st_[avail[i]].orderProbePort = port;
-      }
-    }
-    if (selfProbes) co_await leaderProbeTrip(gi, self, selfPort);
-
-    // Wait for every prober's report and every recruited guest's arrival.
-    for (;;) {
-      const AgentState& bbr = st_[aw];
-      if (bbr.retCount == bbr.outCount && bbr.guestArrived == bbr.guestExpected) break;
-      co_await engine_.nextActivation(self);
-    }
-    stats_.guestsRecruited += st_[aw].guestArrived;
-
-    if (st_[aw].nextFound != kNoPort) {
-      probeNext_[gi] = st_[aw].nextFound;
-      break;  // checked intentionally not advanced (Algorithm 3 line 14–15)
-    }
-    st_[aw].checked = st_[aw].checked + delta;
-  }
-}
-
-Task GeneralAsyncDispersion::seeOffPhase(std::uint32_t gi, AgentIx self) {
-  GroupCtx& ctx = groups_[gi];
+  co_await probePhase(ctx.label, self);
   ctx.phase = "seeOff";
-  const NodeId w = engine_.positionOf(self);
-  for (;;) {
-    // Collect co-located own-label guests, ascending by ID (Algorithm 4).
-    std::vector<AgentIx> guests;
-    for (const AgentIx a : engine_.agentsAt(w)) {
-      if (st_[a].label == ctx.label && st_[a].settled && st_[a].isGuest) {
-        guests.push_back(a);
-      }
-    }
-    if (guests.empty()) co_return;
-    std::sort(guests.begin(), guests.end(),
-              [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
-    ++stats_.seeOffSweeps;
-
-    if (guests.size() == 1) {
-      // α(w) escorts the last guest home (Algorithm 4 lines 2–4).
-      const AgentIx g = guests.front();
-      const AgentIx aw = homeSettlerAt(w, ctx.label);
-      DISP_CHECK(aw != kNoAgent, "see-off without a settler at w");
-      st_[aw].orderEscort = st_[g].guestEntryPort;
-      st_[g].orderGoHome = true;
-      // Wait until the guest is gone and the settler is back *with its
-      // escort order consumed*.  Without the order check the guest can walk
-      // home on its own before the settler ever leaves, the leader would
-      // move on, and the stale escort order would later pull the settler
-      // away from w mid-protocol — exactly the §4.3 in-transit hazard.
-      for (;;) {
-        co_await engine_.nextActivation(self);
-        bool guestGone = true;
-        for (const AgentIx a : engine_.agentsAt(w)) {
-          guestGone &= !(st_[a].label == ctx.label && st_[a].settled && st_[a].isGuest);
-        }
-        const AgentIx back = homeSettlerAt(w, ctx.label);
-        if (guestGone && back != kNoAgent && st_[back].orderEscort == kNoPort) co_return;
-      }
-    }
-
-    // Pair (g1,g2), (g3,g4), ...: the pair walks to the odd member's home;
-    // the even member chaperones and returns.  A trailing unpaired guest
-    // waits for the next sweep.
-    const AgentIx aw = homeSettlerAt(w, ctx.label);
-    DISP_CHECK(aw != kNoAgent, "see-off without a settler at w");
-    const auto pairs = static_cast<std::uint32_t>(guests.size() / 2);
-    st_[aw].seeOffExpected = pairs;
-    st_[aw].seeOffReturned = 0;
-    for (std::uint32_t i = 0; i < pairs; ++i) {
-      const AgentIx gHome = guests[2 * i];
-      const AgentIx gBack = guests[2 * i + 1];
-      st_[gBack].orderChaperone = st_[gHome].guestEntryPort;
-      st_[gHome].orderGoHome = true;
-    }
-    for (;;) {
-      if (st_[aw].seeOffReturned == st_[aw].seeOffExpected) break;
-      co_await engine_.nextActivation(self);
-    }
-  }
+  co_await seeOffPhase(ctx.label, self);
 }
 
 // ---------------------------------------------------------- subsumption
@@ -658,7 +305,7 @@ Task GeneralAsyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
     DISP_CHECK(false, diag);
   }
   const Port parentPort = st_[ls].parentPort;
-  const Port firstChild = st_[ls].firstChildPort;
+  const Port firstChild = chain_[ls].firstChildPort;
 
   // Children chain (skipping the direction we came from; for that child we
   // only peek its sibling pointer to continue the chain).
@@ -667,7 +314,7 @@ Task GeneralAsyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
     if (c == exclPort) {
       co_await moveGroup(gi, c);
       const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-      const Port sib = (cs != kNoAgent) ? st_[cs].nextSiblingPort : kNoPort;
+      const Port sib = (cs != kNoAgent) ? chain_[cs].nextSiblingPort : kNoPort;
       co_await moveGroup(gi, engine_.pinOf(ctx.leader));
       c = sib;
       continue;
@@ -676,7 +323,7 @@ Task GeneralAsyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
     const Port backUp = engine_.pinOf(ctx.leader);
     const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
     DISP_CHECK(cs != kNoAgent, "collapse walk: child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
+    const Port sib = chain_[cs].nextSiblingPort;
     co_await collapseVisit(gi, loserLabel, backUp);
     co_await moveGroup(gi, backUp);
     c = sib;
@@ -917,20 +564,19 @@ Task GeneralAsyncDispersion::rescanVisit(std::uint32_t gi, AgentIx self) {
   DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
 
   st_[settler].checked = 0;
-  co_await probePhase(gi, self);
-  co_await seeOffPhase(gi, self);
+  co_await growAt(gi, self);
   if (probeNext_[gi] != kNoPort || !probeMet_[gi].empty()) {
     rescanFound_[gi] = 1;  // resume the DFS right here
     co_return;
   }
 
-  Port c = st_[settler].firstChildPort;
+  Port c = chain_[settler].firstChildPort;
   while (c != kNoPort) {
     co_await moveGroup(gi, c);
     const Port backUp = engine_.pinOf(self);
     const AgentIx cs = homeSettlerAt(engine_.positionOf(self), ctx.label);
     DISP_CHECK(cs != kNoAgent, "rescan child without settler");
-    const Port sib = st_[cs].nextSiblingPort;
+    const Port sib = chain_[cs].nextSiblingPort;
     co_await rescanVisit(gi, self);
     if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
     co_await moveGroup(gi, backUp);
@@ -983,8 +629,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
       // finding and rescanning forever.
       rescanFound_[gi] = 0;
     } else {
-      co_await probePhase(gi, self);
-      co_await seeOffPhase(gi, self);
+      co_await growAt(gi, self);
     }
 
     // Meetings discovered by this probe (report order).
@@ -1001,14 +646,14 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
     if (next != kNoPort) {
       // Sibling-chain bookkeeping for future collapse walks (undone below
       // if the move has to retreat).
-      const Port prevFirst = st_[aw].firstChildPort;
-      const Port prevLatest = st_[aw].latestChildPort;
-      if (st_[aw].firstChildPort == kNoPort) {
-        st_[aw].firstChildPort = next;
+      const Port prevFirst = chain_[aw].firstChildPort;
+      const Port prevLatest = chain_[aw].latestChildPort;
+      if (chain_[aw].firstChildPort == kNoPort) {
+        chain_[aw].firstChildPort = next;
       } else {
-        co_await sideTripSetNextSibling(gi, self, st_[aw].latestChildPort, next);
+        co_await sideTripSetNextSibling(gi, self, chain_[aw].latestChildPort, next);
       }
-      st_[aw].latestChildPort = next;
+      chain_[aw].latestChildPort = next;
 
       co_await moveGroup(gi, next);
       const NodeId u = engine_.positionOf(self);
@@ -1035,8 +680,8 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
         ++stats_.retreats;
         co_await moveGroup(gi, engine_.pinOf(self));
         // Undo the speculative sibling link: the child was not created.
-        st_[aw].firstChildPort = prevFirst;
-        st_[aw].latestChildPort = prevLatest;
+        chain_[aw].firstChildPort = prevFirst;
+        chain_[aw].latestChildPort = prevLatest;
         if (prevLatest != kNoPort) {
           co_await sideTripSetNextSibling(gi, self, prevLatest, kNoPort);
         }

@@ -5,8 +5,9 @@
 // under any fair scheduler.
 //
 // Composition (paper §8.2): each of the ℓ groups runs the RootedAsyncDisp
-// growing phase — Async_Probe helper doubling, Guest_See_Off, and the §4.3
-// in-transit-helper hazard handling, all label-scoped — while meetings
+// growing phase of algo/async_growth.hpp — Async_Probe helper doubling,
+// Guest_See_Off, and the §4.3 in-transit-helper hazard handling, scoped to
+// the group's label and probing ports 1..min(δ(w), k) — while meetings
 // between groups are resolved by KS subsumption exactly as in the SYNC
 // general algorithm (general_sync.*): sizes are compared, the loser freezes
 // and is collapsed by an Euler walk over its DFS tree (or collapses itself
@@ -37,21 +38,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/async_growth.hpp"
 #include "algo/probe_index.hpp"
 #include "core/async_engine.hpp"
 #include "core/memory.hpp"
-#include "core/metrics.hpp"
-#include "graph/graph.hpp"
 
 namespace disp {
 
-struct GeneralAsyncStats {
+struct GeneralAsyncStats : AsyncGrowthStats {
   std::uint64_t forwardMoves = 0;
   std::uint64_t backtracks = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t probeIterations = 0;
-  std::uint64_t guestsRecruited = 0;
-  std::uint64_t seeOffSweeps = 0;
   std::uint64_t meetings = 0;
   std::uint64_t subsumptions = 0;
   std::uint64_t collapseHops = 0;
@@ -59,7 +55,7 @@ struct GeneralAsyncStats {
   std::uint64_t handoffs = 0;  // leadership re-elections after an absorb
 };
 
-class GeneralAsyncDispersion {
+class GeneralAsyncDispersion : private AsyncGrowth {
  public:
   /// Groups are inferred from co-location in the engine's initial world:
   /// one group per occupied node (any ℓ in [1, k]).
@@ -68,7 +64,7 @@ class GeneralAsyncDispersion {
   /// Installs one fiber per agent; call engine.run() afterwards.
   void start();
 
-  [[nodiscard]] bool dispersed() const;
+  using AsyncGrowth::dispersed;
   [[nodiscard]] const GeneralAsyncStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t agentBits(AgentIx a) const;
   [[nodiscard]] std::uint32_t groupCount() const {
@@ -100,47 +96,13 @@ class GeneralAsyncDispersion {
   }
 
  private:
-  using Label = std::uint32_t;
-  static constexpr Label kNoLabel = static_cast<Label>(-1);
   static constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
 
-  struct AgentState {
-    Label label = kNoLabel;
-    bool settled = false;
-    bool isGuest = false;
-    NodeId settledAt = kInvalidNode;  // simulation-side assertion key
-    Port parentPort = kNoPort;        // settler: DFS-tree parent
-
-    // --- settler tree record (collapse-walk child chain, general_sync) ---
+  /// A settler's child chain (general_sync's collapse-walk record).
+  struct ChildChain {
     Port firstChildPort = kNoPort;
     Port latestChildPort = kNoPort;
     Port nextSiblingPort = kNoPort;
-
-    // --- settler blackboard (the α(w).* variables + probe counters) ---
-    Port checked = 0;          // Async_Probe progress at this node
-    Port nextFound = kNoPort;  // smallest empty port reported this iteration
-    std::uint32_t outCount = 0;
-    std::uint32_t retCount = 0;
-    std::uint32_t guestExpected = 0;
-    std::uint32_t guestArrived = 0;
-    std::uint32_t seeOffExpected = 0;
-    std::uint32_t seeOffReturned = 0;
-
-    // --- orders written by the leader / probers (communicate phase) ---
-    Port orderProbePort = kNoPort;   // follower/guest: probe this port of w
-    Port orderGuestGoTo = kNoPort;   // settler at a probed neighbor: go to w
-    bool orderGoHome = false;        // guest: exit w via its own entry port
-    Port orderChaperone = kNoPort;   // guest: escort partner via this port
-    Port orderEscort = kNoPort;      // settler α(w): escort the last guest
-    Port orderFollow = kNoPort;      // follower: group move via this port
-
-    // --- guest / prober bookkeeping ---
-    Port guestEntryPort = kNoPort;  // port of w through which it entered w
-    bool needRegister = false;      // guest must report arrival at w
-    bool needReport = false;        // prober must report results at w
-    bool reportEmpty = false;
-    bool reportGuest = false;
-    Label reportMet = kNoLabel;     // smallest foreign label seen, if any
   };
 
   struct GroupCtx {
@@ -165,15 +127,10 @@ class GeneralAsyncDispersion {
   /// the group parks, dissolves, or disperses; the caller then continues in
   /// participant mode.
   Task leaderLoop(std::uint32_t gi, AgentIx self);
-  /// Handles one pending participant order, if any (probe errand, guest
-  /// trip, see-off, follow).  May span several activations internally;
-  /// returns with the current activation still owned by the caller.
-  Task participantStep(AgentIx self);
 
   // --- leader sub-phases ------------------------------------------------
-  Task probePhase(std::uint32_t gi, AgentIx self);  // result in probeNext_ / probeMet_
-  Task seeOffPhase(std::uint32_t gi, AgentIx self);
-  Task leaderProbeTrip(std::uint32_t gi, AgentIx self, Port port);
+  /// Async_Probe then Guest_See_Off at the head (AsyncGrowth, own label).
+  Task growAt(std::uint32_t gi, AgentIx self);
   Task moveGroup(std::uint32_t gi, Port p);  // order, move, fully reassemble
   Task sideTripSetNextSibling(std::uint32_t gi, AgentIx self, Port prevChildPort,
                               Port newChildPort);
@@ -192,43 +149,24 @@ class GeneralAsyncDispersion {
   // --- dormant-anchor duties (runs inside participant mode) -------------
   void dormantDuties(AgentIx self);
 
-  /// What a probe saw at the probed node, plus any recruitment performed.
-  struct ProbeSight {
-    AgentIx settler = kNoAgent;  // own-label home settler (now recruited)
-    Label met = kNoLabel;        // smallest foreign label present, if any
-    bool empty = false;          // prober stands there alone
-  };
-  /// Communicate step of a probe at the prober's current node: classify
-  /// and recruit.  Shared by participant probers and leader trips.
-  ProbeSight observeAndRecruit(AgentIx self, Label label);
   /// Relabel + dissolve a fully consolidated marcher group into gi.
   void absorbGroup(std::uint32_t gi, std::uint32_t mi);
 
   [[nodiscard]] std::uint32_t resolveGroup(std::uint32_t g) const;
-  [[nodiscard]] AgentIx homeSettlerAt(NodeId v, Label label) const;
   [[nodiscard]] AgentIx anySettlerAt(NodeId v) const;  // any label
-  [[nodiscard]] const std::vector<AgentIx>& availableProbersAt(NodeId w,
-                                                               Label label) const;
   [[nodiscard]] bool groupConsolidatedAt(Label label, NodeId v) const;
   [[nodiscard]] std::uint32_t globalUnsettled() const;
   void settle(std::uint32_t gi, AgentIx a, NodeId at, Port parentPort);
   void adoptAt(std::uint32_t gi, Label fromLabel, NodeId v);  // relabel unsettled
   void recordMemory();
 
-  AsyncEngine& engine_;
-  std::vector<AgentState> st_;
-  /// Scratch for availableProbersAt (consumed before any co_await).
-  mutable std::vector<AgentIx> probersScratch_;
-  /// Followers + guest helpers bucketed by node (label-agnostic; the query
-  /// filters labels): availableProbersAt reads the w bucket instead of
-  /// scanning every occupant of w (DESIGN.md §9).
-  IdleProberIndex proberIdx_;
+  std::vector<ChildChain> chain_;
   /// Per-label unsettled count + position fingerprint: groupConsolidatedAt
   /// drops from an O(k) all-agent scan (run on every reassembly-wait
   /// activation) to two O(1) lookups.  Labels never outlive the initial
   /// group array, so the index is sized once in the constructor.
   GroupPositionIndex posIdx_;
-  std::vector<GroupCtx> groups_;
+  std::vector<GroupCtx> groups_;  // index == the group's label
   GeneralAsyncStats stats_;
   BitWidths widths_;
 
@@ -237,10 +175,8 @@ class GeneralAsyncDispersion {
   // Per-agent: group this settled ex-leader anchors, if any.
   std::vector<std::uint32_t> anchorOf_;
 
-  // Per-group scratch (protocol-local values surfaced for the fibers).
-  std::vector<Port> probeNext_;
-  std::vector<std::vector<std::pair<Label, Port>>> probeMet_;
-  std::vector<std::uint8_t> rescanFound_;  // per group: two can rescan at once
+  // Per group: a rescan stopped on a finding (two groups can rescan at once).
+  std::vector<std::uint8_t> rescanFound_;
 };
 
 }  // namespace disp

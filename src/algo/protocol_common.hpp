@@ -2,11 +2,11 @@
 // Shared protocol vocabulary for the dispersion algorithms.
 //
 // Each algorithm owns vectors of per-agent state structs — the agents'
-// persistent memory.  Protocol discipline (enforced by convention and
-// checked in tests): state of agent b is only read/written by code acting
-// for an agent co-located with b, which is exactly the paper's local
-// communication model.  All state fields are catalogued for the memory
-// ledger with explicit bit widths.
+// persistent memory.  Protocol discipline, a convention only (no test or
+// runtime check enforces it): state of agent b is only read/written by
+// code acting for an agent co-located with b, which is exactly the paper's
+// local communication model.  All state fields are catalogued for the
+// memory ledger with explicit bit widths.
 
 #include <cstdint>
 #include <vector>

@@ -9,8 +9,7 @@
 // workload — parameterized generators, `file:PATH` graphs, adversarial
 // placements — drops into the same cross-product.  Each point of the
 // cross-product is a *cell*; each cell is simulated once per seed (the
-// seed drives graph construction, placement and the run itself, exactly
-// like the historical bench_common::runCase single-seed path).
+// seed drives graph construction, placement and the run itself).
 // BatchRunner (batch_runner.hpp) executes a spec over a thread pool,
 // sharing each immutable Graph across every run with an equal
 // GraphSpec::instanceKey, and aggregates replicates per cell.

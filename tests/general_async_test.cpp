@@ -131,9 +131,9 @@ TEST(GeneralAsync, InTransitHelperRegression) {
   // §4.3 regression: the weighted scheduler starves a subset of agents so
   // guests and escorts are routinely in transit when the rest of the
   // protocol wants to act.  Without the escort-order-consumed check in
-  // Guest_See_Off (see async_rooted.cpp / general_async.cpp), a stale
-  // escort order pulls a settler away from its node mid-protocol and some
-  // seed below ends un-dispersed or with a settler off its node.
+  // Guest_See_Off (see async_growth.cpp), a stale escort order pulls a
+  // settler away from its node mid-protocol and some seed below ends
+  // un-dispersed or with a settler off its node.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Graph g = makeComplete(20).build();
     RunOut run(g, 20, 2, "weighted", seed);

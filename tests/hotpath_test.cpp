@@ -130,20 +130,27 @@ struct EpochCase {
   std::uint64_t epochs;
   std::uint64_t activations;
   std::uint64_t moves;
+  std::uint64_t maxMemoryBits;
 };
 
 // Pinned to the values produced by the pre-overhaul engine (std::fill epoch
 // accounting, vector-of-vectors occupancy).  Epochs / activations / moves
-// are simulation facts: any drift here is a correctness bug, not a perf
-// regression.
+// / memory bits are simulation facts: any drift here is a correctness bug,
+// not a perf regression.
 constexpr EpochCase kEpochCases[] = {
-    {"rooted_async", "er", 64, 1, "round_robin", 5, 707ULL, 45202ULL, 3948ULL},
-    {"rooted_async", "er", 96, 1, "uniform", 23, 428ULL, 212222ULL, 7726ULL},
-    {"ks_async", "star", 32, 1, "round_robin", 11, 62ULL, 1958ULL, 961ULL},
-    {"general_async", "er", 64, 4, "weighted", 9, 219ULL, 131341ULL, 4662ULL},
-    {"general_async", "grid", 128, 16, "shuffled", 9, 2262ULL, 289524ULL,
-     21931ULL},
-    {"ks_async", "complete", 64, 1, "uniform", 5, 101ULL, 29190ULL, 2588ULL},
+    {"rooted_async", "er", 64, 1, "round_robin", 5, 707ULL, 45202ULL, 3948ULL, 112ULL},
+    {"rooted_async", "er", 96, 1, "uniform", 23, 428ULL, 212222ULL, 7726ULL, 112ULL},
+    {"ks_async", "star", 32, 1, "round_robin", 11, 62ULL, 1958ULL, 961ULL, 36ULL},
+    {"general_async", "er", 64, 4, "weighted", 9, 219ULL, 131341ULL, 4662ULL, 151ULL},
+    {"general_async", "grid", 128, 16, "shuffled", 9, 2262ULL, 289524ULL, 21931ULL,
+     155ULL},
+    {"ks_async", "complete", 64, 1, "uniform", 5, 101ULL, 29190ULL, 2588ULL, 41ULL},
+    // Hub degree 31 > k: rooted_async probes every port of the hub, where a
+    // min(δ, k) probe bound would stop at 16 (783 moves instead of 801).
+    {"rooted_async", "star", 16, 1, "round_robin", 4, 279ULL, 4456ULL, 801ULL, 106ULL},
+    // One group: general_async runs rooted_async's growing phase plus its
+    // sibling-chain side trips (rooted_async here: 631 / 40347 / 3241).
+    {"general_async", "grid", 64, 1, "round_robin", 1, 639ULL, 40859ULL, 3249ULL, 125ULL},
 };
 
 TEST(AsyncEpochRegression, EpochStampAccountingMatchesPinnedValues) {
@@ -163,6 +170,7 @@ TEST(AsyncEpochRegression, EpochStampAccountingMatchesPinnedValues) {
     EXPECT_EQ(r.time, c.epochs) << what;
     EXPECT_EQ(r.activations, c.activations) << what;
     EXPECT_EQ(r.totalMoves, c.moves) << what;
+    EXPECT_EQ(r.maxMemoryBits, c.maxMemoryBits) << what;
   }
 }
 

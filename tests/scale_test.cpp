@@ -281,9 +281,11 @@ TEST(MemProbe, PeakCoversCurrentAndGrowsUnderAllocation) {
   // Monotone until the next reset, even after the ballast is freed.
   const double after = peakRssMb();
   EXPECT_GE(after, before + 32.0);
-  // A reset (when supported) pulls the watermark back toward current RSS.
+  // A reset (when supported) pulls the watermark back to current RSS, within
+  // the same slack.  Not `<= after`: an allocator that keeps the freed
+  // ballast resident (ASan's quarantine) leaves current RSS at about `after`.
   if (resetPeakRss()) {
-    EXPECT_LE(peakRssMb(), after);
+    EXPECT_LE(peakRssMb(), currentRssMb() + 1.0);
   }
 }
 
