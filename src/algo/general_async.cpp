@@ -1,40 +1,20 @@
 #include "algo/general_async.hpp"
 
-#include <algorithm>
-#include <string>
-
 #include "algo/protocol_common.hpp"
-#include "graph/graph_algos.hpp"
 #include "util/check.hpp"
 
 namespace disp {
 
-namespace {
-/// Guard bound for "eventually" wait loops; generous so only true deadlocks
-/// (protocol bugs) trip it before the engine's own activation cap does.
-constexpr std::uint64_t kWaitGuard = 1ULL << 26;
-}  // namespace
-
 GeneralAsyncDispersion::GeneralAsyncDispersion(AsyncEngine& engine)
     : AsyncGrowth(engine, engine.agentCount(), stats_),  // probe up to min(δ(w), k)
-      chain_(engine.agentCount()),
+      Merge(engine.agentCount(), engine.graph().maxDegree()),
       posIdx_(labelCount()),
-      groups_(labelCount()),
-      widths_(BitWidths::forRun(4ULL * engine.agentCount(), engine.graph().maxDegree(),
-                                engine.agentCount())),
       leadQueued_(engine.agentCount(), kNoGroup),
-      anchorOf_(engine.agentCount(), kNoGroup),
-      rescanFound_(labelCount(), 0) {
+      anchorOf_(engine.agentCount(), kNoGroup) {
   // One group per initially occupied node (AsyncGrowth's starting labels),
   // led by its largest-ID member.
-  for (Label l = 0; l < labelCount(); ++l) groups_[l].label = l;
+  initGroups(labelCount());
   for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    GroupCtx& ctx = groups_[st_[a].label];
-    ++ctx.total;
-    ++ctx.unsettled;
-    if (ctx.leader == kNoAgent || engine_.idOf(a) > engine_.idOf(ctx.leader)) {
-      ctx.leader = a;
-    }
     posIdx_.add(st_[a].label, engine_.positionOf(a));
   }
   for (const GroupCtx& ctx : groups_) leadQueued_[ctx.leader] = ctx.label;
@@ -59,34 +39,13 @@ std::uint64_t GeneralAsyncDispersion::agentBits(AgentIx a) const {
   // orderGoHome, needRegister, needReport, reportEmpty, reportGuest) +
   // 12 ports (tree record: parent + 3 child-chain; blackboard: checked,
   // nextFound; orders: probe, guestGoTo, chaperone, escort, follow; guest
-  // entry) + 6 counters (probe/guest/see-off blackboard).
-  std::uint64_t bits = widths_.id + 2ULL * widths_.count + 7 +
-                       12ULL * widths_.port + 6ULL * widths_.count;
-  for (const auto& g : groups_) {
-    if (g.leader == a) bits += 2ULL * widths_.count + widths_.port;
-  }
-  return bits;
-}
-
-void GeneralAsyncDispersion::recordMemory() {
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    engine_.memory().record(a, agentBits(a));
-  }
+  // entry) + 6 counters (probe/guest/see-off blackboard), plus the
+  // leadership records of the groups `a` leads.
+  return widths_.id + 2ULL * widths_.count + 7 + 12ULL * widths_.port +
+         6ULL * widths_.count + leaderRecordBits(a);
 }
 
 // ------------------------------------------------------------- helpers
-
-std::uint32_t GeneralAsyncDispersion::resolveGroup(std::uint32_t g) const {
-  while (groups_[g].dissolved) g = groups_[g].absorbedBy;
-  return g;
-}
-
-AgentIx GeneralAsyncDispersion::anySettlerAt(NodeId v) const {
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].settled && !st_[a].isGuest && st_[a].settledAt == v) return a;
-  }
-  return kNoAgent;
-}
 
 bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
   const bool consolidated = posIdx_.consolidatedAt(label, v);
@@ -102,66 +61,6 @@ bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
   DISP_CHECK(consolidated == naive, "GroupPositionIndex drifted from the world");
 #endif
   return consolidated;
-}
-
-std::uint32_t GeneralAsyncDispersion::globalUnsettled() const {
-  std::uint32_t n = 0;
-  for (const auto& g : groups_) n += g.unsettled;
-  return n;
-}
-
-void GeneralAsyncDispersion::settle(std::uint32_t gi, AgentIx a, NodeId at,
-                                    Port parentPort) {
-  markSettled(a, at, parentPort);
-  chain_[a] = {};
-  posIdx_.remove(st_[a].label, at);
-  --groups_[gi].unsettled;
-  engine_.traceSettle(a, groups_[gi].label);
-  recordMemory();
-}
-
-void GeneralAsyncDispersion::absorbGroup(std::uint32_t gi, std::uint32_t mi) {
-  // Takes a fully consolidated marcher group in: relabel every member,
-  // move the counts, and dissolve it.  Shared by the active-leader path
-  // (absorbMarchers) and the dormant-anchor path (dormantDuties).
-  GroupCtx& ctx = groups_[gi];
-  GroupCtx& m = groups_[mi];
-  const NodeId here = engine_.positionOf(ctx.leader);
-  std::uint32_t joined = 0;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (st_[a].label == m.label && !st_[a].settled) {
-      DISP_CHECK(engine_.positionOf(a) == here,
-                 "marcher group not consolidated at absorb time");
-      st_[a].label = ctx.label;
-      posIdx_.remove(m.label, here);
-      posIdx_.add(ctx.label, here);
-      ++joined;
-    }
-  }
-  ctx.total += joined;
-  ctx.unsettled += joined;
-  m.total -= joined;
-  m.unsettled -= joined;
-  DISP_CHECK(m.total == 0 && m.unsettled == 0, "marcher left agents behind");
-  m.dissolved = true;
-  m.absorbedBy = gi;
-  m.marching = false;
-  recordMemory();
-}
-
-void GeneralAsyncDispersion::adoptAt(std::uint32_t gi, Label fromLabel, NodeId v) {
-  if (fromLabel == groups_[gi].label) return;  // self-collapse: already ours
-  for (const AgentIx a : engine_.agentsAt(v)) {
-    if (st_[a].label == fromLabel && !st_[a].settled) {
-      st_[a].label = groups_[gi].label;
-      posIdx_.remove(fromLabel, v);
-      posIdx_.add(groups_[gi].label, v);
-      ++groups_[gi].total;
-      ++groups_[gi].unsettled;
-      --groups_[fromLabel].total;
-      --groups_[fromLabel].unsettled;
-    }
-  }
 }
 
 // --------------------------------------------------------------- fibers
@@ -180,6 +79,14 @@ Task GeneralAsyncDispersion::agentFiber(AgentIx self) {
   }
 }
 
+void GeneralAsyncDispersion::goDormant(std::uint32_t gi, AgentIx self) {
+  // Marchers navigate to the anchor; dormantDuties absorbs them and hands
+  // leadership on.
+  groups_[gi].phase = "dormant";
+  anchorOf_[self] = gi;
+  if (unsettledTotal_ == 0) engine_.finish();
+}
+
 void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
   const std::uint32_t gi = anchorOf_[self];
   if (gi == kNoGroup) return;
@@ -189,7 +96,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
     anchorOf_[self] = kNoGroup;  // collapsed away or leadership moved on
     return;
   }
-  if (globalUnsettled() == 0) {
+  if (unsettledTotal_ == 0) {
     engine_.finish();
     return;
   }
@@ -198,7 +105,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
   // Absorb fully arrived marcher groups aimed at us, then hand leadership
   // to the largest-ID newcomer (the SYNC version's leader re-election).
   const NodeId here = engine_.positionOf(self);
-  for (std::uint32_t mi = 0; mi < groups_.size(); ++mi) {
+  for (std::uint32_t mi = 0; marchingCount_ > 0 && mi < groups_.size(); ++mi) {
     const GroupCtx& m = groups_[mi];
     if (!m.marching || m.dissolved || resolveGroup(m.marchTarget) != gi) continue;
     if (!groupConsolidatedAt(m.label, here)) continue;
@@ -209,7 +116,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
       return st_[a].label == ctx.label && !st_[a].settled;
     });
     DISP_CHECK(fresh != kNoAgent, "no co-located candidate for leader handoff");
-    ctx.leader = fresh;
+    setLeader(gi, fresh);
     leadQueued_[fresh] = gi;
     anchorOf_[self] = kNoGroup;
     ++stats_.handoffs;
@@ -245,11 +152,12 @@ Task GeneralAsyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   DISP_CHECK(false, "group move never reassembled");
 }
 
-Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, AgentIx self,
+Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, NodeId,
                                                     Port prevChildPort,
                                                     Port newChildPort) {
   // The leader hops to the previous child alone (the group idles at w) and
   // links the sibling chain used by future collapse walks.
+  const AgentIx self = groups_[gi].leader;
   engine_.move(self, prevChildPort);
   co_await engine_.nextActivation(self);
   const AgentIx prev = homeSettlerAt(engine_.positionOf(self), groups_[gi].label);
@@ -259,329 +167,12 @@ Task GeneralAsyncDispersion::sideTripSetNextSibling(std::uint32_t gi, AgentIx se
   co_await engine_.nextActivation(self);
 }
 
-// ------------------------------------------------------------ growing
-
-Task GeneralAsyncDispersion::growAt(std::uint32_t gi, AgentIx self) {
+Task GeneralAsyncDispersion::growAt(std::uint32_t gi) {
   GroupCtx& ctx = groups_[gi];
   ctx.phase = "probe";
-  co_await probePhase(ctx.label, self);
+  co_await probePhase(ctx.label, ctx.leader);
   ctx.phase = "seeOff";
-  co_await seeOffPhase(ctx.label, self);
-}
-
-// ---------------------------------------------------------- subsumption
-
-Task GeneralAsyncDispersion::awaitParked(std::uint32_t gi, std::uint32_t loser) {
-  const AgentIx self = groups_[gi].leader;
-  // The loser acknowledges the freeze at its next safe point; a group whose
-  // leader already settled everyone (dispersed) counts as parked — its
-  // dormant anchor holds still once frozen.
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    const GroupCtx& L = groups_[loser];
-    if (L.parked || (L.unsettled == 0 && !L.marching)) co_return;
-    co_await engine_.nextActivation(self);
-  }
-  DISP_CHECK(false, "loser never parked");
-}
-
-Task GeneralAsyncDispersion::collapseVisit(std::uint32_t gi, Label loserLabel,
-                                           Port exclPort) {
-  GroupCtx& ctx = groups_[gi];
-  const NodeId cur = engine_.positionOf(ctx.leader);
-
-  // Collect any parked loser-group agents stranded here (including the
-  // loser's parked leader): they change allegiance and walk with us.
-  adoptAt(gi, loserLabel, cur);
-
-  const AgentIx ls = homeSettlerAt(cur, loserLabel);
-  if (ls == kNoAgent) {
-    std::string diag = "collapse walk: loser tree node without settler: node=" +
-                       std::to_string(cur) + " loser=" + std::to_string(loserLabel) +
-                       " walker=" + std::to_string(ctx.label) + " occupants:";
-    for (const AgentIx b : engine_.agentsAt(cur)) {
-      diag += " a" + std::to_string(b) + "(l" + std::to_string(st_[b].label) +
-              (st_[b].settled ? ",s" : ",u") + (st_[b].isGuest ? ",g)" : ")");
-    }
-    DISP_CHECK(false, diag);
-  }
-  const Port parentPort = st_[ls].parentPort;
-  const Port firstChild = chain_[ls].firstChildPort;
-
-  // Children chain (skipping the direction we came from; for that child we
-  // only peek its sibling pointer to continue the chain).
-  Port c = firstChild;
-  while (c != kNoPort) {
-    if (c == exclPort) {
-      co_await moveGroup(gi, c);
-      const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-      const Port sib = (cs != kNoAgent) ? chain_[cs].nextSiblingPort : kNoPort;
-      co_await moveGroup(gi, engine_.pinOf(ctx.leader));
-      c = sib;
-      continue;
-    }
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(ctx.leader);
-    const AgentIx cs = homeSettlerAt(engine_.positionOf(ctx.leader), loserLabel);
-    DISP_CHECK(cs != kNoAgent, "collapse walk: child without settler");
-    const Port sib = chain_[cs].nextSiblingPort;
-    co_await collapseVisit(gi, loserLabel, backUp);
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
-
-  // Parent direction (when we entered from a child or from outside).
-  if (parentPort != kNoPort && parentPort != exclPort) {
-    co_await moveGroup(gi, parentPort);
-    const Port backDown = engine_.pinOf(ctx.leader);
-    co_await collapseVisit(gi, loserLabel, backDown);
-    co_await moveGroup(gi, backDown);
-  }
-
-  // Finally collect this node's settler; its record dies with it.
-  AgentState& s = st_[ls];
-  s.settled = false;
-  s.settledAt = kInvalidNode;
-  s.label = ctx.label;
-  proberIdx_.insert(ls, engine_.positionOf(ls));  // unsettled again
-  posIdx_.add(ctx.label, engine_.positionOf(ls));
-  ++ctx.total;
-  ++ctx.unsettled;
-  --groups_[loserLabel].total;
-  --groups_[loserLabel].treeSize;
-  engine_.traceUnsettle(ls, loserLabel, ctx.label);
-}
-
-Task GeneralAsyncDispersion::marchToward(std::uint32_t gi, AgentIx anchor) {
-  // BFS walk of the whole group toward the anchor agent's (possibly
-  // moving) position; every hop is a real group move.
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    const NodeId here = engine_.positionOf(groups_[gi].leader);
-    const NodeId there = engine_.positionOf(anchor);
-    if (here == there) co_return;
-    const auto dist = bfsDistances(engine_.graph(), there);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never arrived");
-}
-
-Task GeneralAsyncDispersion::collapseForeign(std::uint32_t gi, std::uint32_t loser,
-                                             Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  bool usedPort = false;
-  if (metPort != kNoPort) {
-    // Enter the loser tree through the met port, Euler-walk it collecting
-    // everyone, end back at the entry node, and hop home.  The met node may
-    // turn out not to be a loser *tree* node (the meeting was with agents
-    // in transit); fall back to the march path then.
-    co_await moveGroup(gi, metPort);
-    const Port backToHead = engine_.pinOf(ctx.leader);
-    if (homeSettlerAt(engine_.positionOf(ctx.leader), groups_[loser].label) !=
-        kNoAgent) {
-      usedPort = true;
-      co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    }
-    co_await moveGroup(gi, backToHead);
-  }
-  if (!usedPort) {
-    // Pended retry: no fresh adjacency.  March to the loser's parked group
-    // (its leader rests on a loser tree node), collapse from there, then
-    // march back to our own head to resume the DFS.
-    const NodeId myHead = engine_.positionOf(ctx.leader);
-    const AgentIx loserAnchor = groups_[loser].leader;
-    co_await marchToward(gi, loserAnchor);
-    co_await collapseVisit(gi, groups_[loser].label, kNoPort);
-    const AgentIx homeAnchor = homeSettlerAt(myHead, ctx.label);
-    DISP_CHECK(homeAnchor != kNoAgent, "head lost its settler during collapse");
-    co_await marchToward(gi, homeAnchor);
-  }
-  recordMemory();
-}
-
-Task GeneralAsyncDispersion::selfCollapseAndMarch(std::uint32_t gi,
-                                                  std::uint32_t winner, Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // Collapse our own tree starting from the head (a tree node), collecting
-  // all our settlers into the walking group.
-  co_await collapseVisit(gi, ctx.label, kNoPort);
-  // Chase the winner's leader (the group anchor: with the group while
-  // active, at its settle node when dormant).  The winner idles at its
-  // next safe point until we arrive and absorbs us; routing uses
-  // engine-side position tracking standing in for KS's head-pointer
-  // maintenance, with every hop a real move.
-  if (metPort != kNoPort) co_await moveGroup(gi, metPort);
-  ctx.marchTarget = winner;
-  ctx.marching = true;
-  for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-    if (ctx.dissolved) co_return;  // the winner absorbed us
-    const std::uint32_t target = resolveGroup(ctx.marchTarget);
-    const NodeId here = engine_.positionOf(ctx.leader);
-    const NodeId head = engine_.positionOf(groups_[target].leader);
-    if (here == head) {
-      co_await engine_.nextActivation(ctx.leader);  // co-located: await absorb
-      continue;
-    }
-    const auto dist = bfsDistances(engine_.graph(), head);
-    Port step = kNoPort;
-    for (Port p = 1; p <= engine_.graph().degree(here); ++p) {
-      if (dist[engine_.graph().neighbor(here, p)] < dist[here]) {
-        step = p;
-        break;
-      }
-    }
-    DISP_CHECK(step != kNoPort, "march lost its way");
-    co_await moveGroup(gi, step);
-  }
-  DISP_CHECK(false, "march never absorbed");
-}
-
-Task GeneralAsyncDispersion::absorbMarchers(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  for (;;) {
-    // Junction locking (DESIGN.md §4.7): a frozen/dissolved group must not
-    // take marchers in — its winner's collapse walk collects only tree
-    // settlers, so members absorbed mid-freeze would be orphaned unsettled
-    // when this fiber parks.  The marchers re-resolve their target through
-    // the dissolution chain and reach the eventual winner instead.
-    if (ctx.frozen || ctx.dissolved) co_return;
-    std::int64_t marcher = -1;
-    for (std::uint32_t mi = 0; mi < groups_.size(); ++mi) {
-      if (groups_[mi].marching && !groups_[mi].dissolved &&
-          resolveGroup(groups_[mi].marchTarget) == gi) {
-        marcher = mi;
-        break;
-      }
-    }
-    if (marcher < 0) co_return;
-    ctx.phase = "absorbWait";
-    const std::uint32_t mi = static_cast<std::uint32_t>(marcher);
-    // Idle until the marcher's group fully reaches our leader, then take
-    // them in — unless a winner freezes us first, or the marcher is
-    // rerouted meanwhile.
-    for (std::uint64_t guard = 0; guard < kWaitGuard; ++guard) {
-      if (ctx.frozen || ctx.dissolved || groups_[mi].dissolved) break;
-      if (groupConsolidatedAt(groups_[mi].label, engine_.positionOf(ctx.leader))) break;
-      co_await engine_.nextActivation(ctx.leader);
-    }
-    if (ctx.frozen || ctx.dissolved) co_return;
-    if (groups_[mi].dissolved) continue;  // absorbed elsewhere; rescan
-    absorbGroup(gi, mi);
-  }
-}
-
-Task GeneralAsyncDispersion::handleMeeting(std::uint32_t gi, Label other,
-                                           Port metPort) {
-  GroupCtx& ctx = groups_[gi];
-  // A group that has itself been frozen (a winner is about to collapse it)
-  // must not initiate anything: it parks at its next safe point and gets
-  // collected.
-  if (ctx.frozen || ctx.dissolved || ctx.marching) co_return;
-  const std::uint32_t target = resolveGroup(other);
-  if (target == gi) co_return;
-  GroupCtx& them = groups_[target];
-  if (them.frozen || them.marching) {
-    // Busy peer: pend the meeting (dropping it could wall this tree in,
-    // since a probed port is never re-probed once `checked` advances).
-    if (std::find(ctx.pending.begin(), ctx.pending.end(), them.label) ==
-        ctx.pending.end()) {
-      ctx.pending.push_back(them.label);
-    }
-    co_return;
-  }
-  ++stats_.meetings;
-  engine_.traceEvent(TraceEventKind::Meeting, ctx.leader,
-                     engine_.positionOf(ctx.leader), ctx.label, them.label);
-
-  // |D2| < |D1| means D1 subsumes D2; ties favour the met tree (§4.2).
-  // The peer checks and the freeze below share one activation — no
-  // suspension point in between — so two groups can never freeze each
-  // other concurrently.
-  const bool iWin = them.treeSize < ctx.treeSize;
-  ++stats_.subsumptions;
-  engine_.traceEvent(TraceEventKind::Subsume,
-                     iWin ? ctx.leader : them.leader,
-                     engine_.positionOf(ctx.leader),
-                     iWin ? ctx.label : them.label,
-                     iWin ? them.label : ctx.label);
-  if (iWin) {
-    them.frozen = true;
-    engine_.traceEvent(TraceEventKind::Freeze, them.leader,
-                       engine_.positionOf(them.leader), them.label, ctx.label);
-    ctx.phase = "awaitParked";
-    co_await awaitParked(gi, target);
-    ctx.phase = "collapseForeign";
-    if (!them.dissolved) {
-      co_await collapseForeign(gi, target, metPort);
-      them.dissolved = true;
-      them.absorbedBy = gi;
-    }
-  } else {
-    ctx.frozen = true;  // others must not target us mid-self-collapse
-    engine_.traceEvent(TraceEventKind::Freeze, ctx.leader,
-                       engine_.positionOf(ctx.leader), ctx.label, them.label);
-    ctx.phase = "selfCollapse";
-    co_await selfCollapseAndMarch(gi, target, metPort);
-  }
-}
-
-Task GeneralAsyncDispersion::retryPending(std::uint32_t gi) {
-  GroupCtx& ctx = groups_[gi];
-  if (ctx.unsettled == 0) {
-    // A dispersed group never needs to initiate a subsumption: if a blocked
-    // peer still needs this tree's nodes, it will meet us and act.
-    ctx.pending.clear();
-    co_return;
-  }
-  std::vector<Label> todo;
-  std::swap(todo, ctx.pending);
-  for (const Label label : todo) {
-    if (ctx.frozen || ctx.dissolved) {
-      // Re-pend what we could not process; a later owner inherits it.
-      ctx.pending.push_back(label);
-      continue;
-    }
-    if (resolveGroup(label) == gi) continue;  // merged meanwhile
-    co_await handleMeeting(gi, label, kNoPort);
-  }
-}
-
-Task GeneralAsyncDispersion::rescanVisit(std::uint32_t gi, AgentIx self) {
-  // Blocked-DFS recovery: Euler-walk the own tree, resetting probe progress
-  // and re-probing at every node, because a collapse can free nodes behind
-  // ports this DFS already advanced past (checked is monotone).  Stops at
-  // the first node with a finding; the DFS resumes from there.
-  GroupCtx& ctx = groups_[gi];
-  ctx.phase = "rescan";
-  const NodeId cur = engine_.positionOf(self);
-  const AgentIx settler = homeSettlerAt(cur, ctx.label);
-  DISP_CHECK(settler != kNoAgent, "rescan reached a non-own node");
-
-  st_[settler].checked = 0;
-  co_await growAt(gi, self);
-  if (probeNext_[gi] != kNoPort || !probeMet_[gi].empty()) {
-    rescanFound_[gi] = 1;  // resume the DFS right here
-    co_return;
-  }
-
-  Port c = chain_[settler].firstChildPort;
-  while (c != kNoPort) {
-    co_await moveGroup(gi, c);
-    const Port backUp = engine_.pinOf(self);
-    const AgentIx cs = homeSettlerAt(engine_.positionOf(self), ctx.label);
-    DISP_CHECK(cs != kNoAgent, "rescan child without settler");
-    const Port sib = chain_[cs].nextSiblingPort;
-    co_await rescanVisit(gi, self);
-    if (rescanFound_[gi]) co_return;  // stay put; frames unwind without moving
-    co_await moveGroup(gi, backUp);
-    c = sib;
-  }
+  co_await seeOffPhase(ctx.label, ctx.leader);
 }
 
 // ----------------------------------------------------------------- main
@@ -612,11 +203,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
     co_await retryPending(gi);
     if (ctx.dissolved || ctx.frozen) continue;
     if (ctx.unsettled == 0) {
-      // Dispersed: become the group's dormant anchor.  Marchers navigate
-      // to us; dormantDuties absorbs them and hands leadership on.
-      ctx.phase = "dormant";
-      anchorOf_[self] = gi;
-      if (globalUnsettled() == 0) engine_.finish();
+      goDormant(gi, self);
       co_return;
     }
 
@@ -629,7 +216,7 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
       // finding and rescanning forever.
       rescanFound_[gi] = 0;
     } else {
-      co_await growAt(gi, self);
+      co_await growAt(gi);
     }
 
     // Meetings discovered by this probe (report order).
@@ -644,82 +231,25 @@ Task GeneralAsyncDispersion::leaderLoop(std::uint32_t gi, AgentIx self) {
     DISP_CHECK(aw != kNoAgent, "head lost its settler");
 
     if (next != kNoPort) {
-      // Sibling-chain bookkeeping for future collapse walks (undone below
-      // if the move has to retreat).
-      const Port prevFirst = chain_[aw].firstChildPort;
-      const Port prevLatest = chain_[aw].latestChildPort;
-      if (chain_[aw].firstChildPort == kNoPort) {
-        chain_[aw].firstChildPort = next;
-      } else {
-        co_await sideTripSetNextSibling(gi, self, chain_[aw].latestChildPort, next);
-      }
-      chain_[aw].latestChildPort = next;
-
-      co_await moveGroup(gi, next);
-      const NodeId u = engine_.positionOf(self);
-      const AgentIx foreignSettler = anySettlerAt(u);
-      bool retreat = false;
-      Label metLabel = kNoLabel;
-      if (foreignSettler != kNoAgent) {
-        retreat = true;
-        metLabel = st_[foreignSettler].label;
-      } else {
-        // Collision with a foreign group on an empty node: the squatting
-        // rule — the smaller tree (ties: smaller label) retreats; both
-        // sides compute the same comparison.
-        for (const AgentIx b : engine_.agentsAt(u)) {
-          if (st_[b].label == ctx.label || st_[b].settled) continue;
-          const std::uint32_t otherGi = resolveGroup(st_[b].label);
-          const auto mine = std::make_pair(ctx.treeSize, ctx.label);
-          const auto theirs =
-              std::make_pair(groups_[otherGi].treeSize, groups_[otherGi].label);
-          if (mine < theirs) retreat = true;
-        }
-      }
-      if (retreat) {
-        ++stats_.retreats;
-        co_await moveGroup(gi, engine_.pinOf(self));
-        // Undo the speculative sibling link: the child was not created.
-        chain_[aw].firstChildPort = prevFirst;
-        chain_[aw].latestChildPort = prevLatest;
-        if (prevLatest != kNoPort) {
-          co_await sideTripSetNextSibling(gi, self, prevLatest, kNoPort);
-        }
-        if (metLabel != kNoLabel) co_await handleMeeting(gi, metLabel, next);
-        continue;
-      }
-
-      ++stats_.forwardMoves;
-      ++ctx.treeSize;
+      bool entered = false;
+      co_await forwardStep(gi, w, aw, next, entered);
+      if (!entered) continue;
       // Settle the smallest-ID follower; the leader settles itself only
       // when it is the last unsettled member of its group.
+      const NodeId u = engine_.positionOf(self);
       AgentIx amin = minIdAgentAt(engine_, u, [&](AgentIx a) {
         return a != self && st_[a].label == ctx.label && !st_[a].settled;
       });
       if (amin == kNoAgent) amin = self;
       settle(gi, amin, u, engine_.pinOf(amin));
       if (ctx.unsettled == 0) {
-        ctx.phase = "dormant";
-        anchorOf_[self] = gi;
-        if (globalUnsettled() == 0) engine_.finish();
+        goDormant(gi, self);
         co_return;
       }
     } else {
       const Port pp = st_[aw].parentPort;
       if (pp == kNoPort) {
-        // Root exhausted while agents remain.  A collapse may have freed
-        // nodes behind already-checked ports anywhere along our tree, so
-        // sweep the whole tree re-probing (rescanVisit); if that finds
-        // nothing every frontier peer is busy — pend/retry after a pause.
-        if (ctx.pending.empty()) {
-          rescanFound_[gi] = 0;
-          co_await rescanVisit(gi, self);
-          if (!rescanFound_[gi]) {
-            for (int i = 0; i < 16; ++i) co_await engine_.nextActivation(self);
-          }
-        } else {
-          for (int i = 0; i < 16; ++i) co_await engine_.nextActivation(self);
-        }
+        co_await rescanOrPause(gi, 16);
         continue;
       }
       ++stats_.backtracks;

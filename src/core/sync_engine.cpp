@@ -181,10 +181,4 @@ std::vector<NodeId> SyncEngine::positionsSnapshot() const {
   return out;
 }
 
-Task skipRounds(SyncEngine& engine, std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    co_await engine.nextRound();
-  }
-}
-
 }  // namespace disp

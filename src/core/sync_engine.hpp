@@ -140,7 +140,4 @@ class alignas(64) SyncEngine {
   bool limitHit_ = false;            ///< fault-mode limit verdict
 };
 
-/// Convenience subtask: let `n` rounds pass.
-Task skipRounds(SyncEngine& engine, std::uint32_t n);
-
 }  // namespace disp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iostream>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -189,10 +190,19 @@ SweepResult BatchRunner::run(const SweepSpec& spec) const {
       }
       cell.time = summarize(times);
       if (sampleRss) cell.peakRssMb = disp::peakRssMb();
-      if (options_.onCellDone) {
-        const std::lock_guard<std::mutex> lock(cellDoneMutex);
-        options_.onCellDone(cell);
+      const std::lock_guard<std::mutex> lock(cellDoneMutex);
+      // An errored replicate reads as undispersed in every table; name it
+      // on stderr, in seed order (tables and JSONL rows stay as they are).
+      for (std::size_t i = 0; i < reps; ++i) {
+        const std::string& error = cell.replicates[i].error;
+        if (error.empty()) continue;
+        std::cerr << "replicate error: sweep=" << spec.name << " graph=" << key.graph
+                  << " k=" << key.k << " placement=" << key.placement
+                  << " sched=" << key.scheduler << " algo=" << key.algorithm
+                  << " faults=" << key.faults << " seed=" << spec.seeds[i] << ": "
+                  << error << "\n";
       }
+      if (options_.onCellDone) options_.onCellDone(cell);
     }
   });
   return result;

@@ -15,6 +15,10 @@
 // disjointly and deterministically.  Skipped cells keep their key with no
 // replicates (Cell::ran() == false); `disp_fleet merge --dup=error`
 // recombines the shards' JSONL outputs.
+//
+// A replicate whose run throws is kept as an undispersed RunRecord with
+// `error` set, and named on stderr as one `replicate error: sweep=...`
+// line when its cell finishes.
 
 #include <atomic>
 #include <cstddef>

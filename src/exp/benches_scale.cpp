@@ -109,8 +109,9 @@ void benchScaleReal(BenchContext& ctx) {
   const std::vector<std::string> placements = ctx.placementsOr({"spread"});
 
   // Declared-state floor in MiB: the CSR (offsets/targets/reverse), the
-  // World's node and agent cells, and general_sync's per-agent state and
-  // per-group context (one group per agent under the default spread
+  // World's node and agent cells, and general_sync's per-agent state (its
+  // AgentState plus the KsMerge child chain) and per-group context (the
+  // KsMerge GroupCtx; one group per agent under the default spread
   // placement; under clustered overrides ℓ < k and the group term
   // overcounts — the ratio is campaign telemetry either way).  What the
   // 2x headroom in rss_ratio = peak_rss_mb / rss_lb_mb then gates is

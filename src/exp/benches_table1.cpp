@@ -24,7 +24,7 @@ void benchTable1SyncRooted(BenchContext& ctx) {
     spec.name = name;
     spec.graphs = {family};
     // complete graphs need n=k to stress KS; other families use n=2k.
-    spec.ks = kSweep(5, family == "complete" ? 8 : 9);
+    spec.ks = ctx.ksOr(kSweep(5, family == "complete" ? 8 : 9));
     spec.algorithms = {"rooted_sync", "general_sync",
                        "ks_sync"};
     spec.seeds = ctx.seedsOr(3);
@@ -79,7 +79,7 @@ void benchTable1AsyncRooted(BenchContext& ctx) {
     SweepSpec spec;
     spec.name = name;
     spec.graphs = {family};
-    spec.ks = kSweep(5, 8);
+    spec.ks = ctx.ksOr(kSweep(5, 8));
     spec.algorithms = {"rooted_async", "ks_async"};
     spec.schedulers = {"round_robin", "uniform"};
     spec.seeds = ctx.seedsOr(5);
@@ -136,7 +136,7 @@ void benchTable1SyncGeneral(BenchContext& ctx) {
   SweepSpec spec;
   spec.name = name;
   spec.graphs = ctx.graphsOr({"er", "grid", "randtree"});
-  spec.ks = kSweep(5, 8);
+  spec.ks = ctx.ksOr(kSweep(5, 8));
   spec.algorithms = {"general_sync"};
   spec.placements =
       ctx.placementsOr({"clusters:l=2", "clusters:l=4", "clusters:l=8"});
@@ -179,7 +179,7 @@ void benchTable1AsyncGeneral(BenchContext& ctx) {
   SweepSpec spec;
   spec.name = name;
   spec.graphs = ctx.graphsOr({"er", "grid"});
-  spec.ks = kSweep(5, 8);
+  spec.ks = ctx.ksOr(kSweep(5, 8));
   spec.algorithms = {"general_async"};
   spec.placements = ctx.placementsOr({"rooted", "clusters:l=4", "clusters:l=16"});
   spec.schedulers = {"round_robin", "uniform", "weighted"};
@@ -240,7 +240,7 @@ void benchTable1Memory(BenchContext& ctx) {
     SweepSpec spec;
     spec.name = name;
     spec.graphs = ctx.graphsOr({"er", "star"});
-    spec.ks = kSweep(5, 8);
+    spec.ks = ctx.ksOr(kSweep(5, 8));
     spec.algorithms = {algo};
     spec.placements = {place};
     spec.seeds = ctx.seedsOr(11);

@@ -713,6 +713,48 @@ TEST(FleetE2E, ListCellsEnumeratesTheCampaign) {
   EXPECT_EQ(rows, 4u);  // 1 graph x 2 ks x 1 placement x 1 sched x 2 algos
 }
 
+// The Table 1 sweeps honour --ks like every other sweep: one k, every
+// other axis at its default (3 graphs x 3 placements).
+TEST(FleetE2E, Table1SweepsHonourKsOverride) {
+  const std::string dir = testDir("table1_ks");
+  ASSERT_EQ(exitCode(std::string(DISP_BENCH_BIN) +
+                     " table1_sync_general --ks=32 --list-cells > " + dir +
+                     "/cells.jsonl 2> " + dir + "/err.txt"),
+            0);
+  std::ifstream in(dir + "/cells.jsonl");
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    EXPECT_EQ(JsonValue::parse(line).find("k")->asString(), "32") << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 9u);
+}
+
+// A replicate whose run throws reads as undispersed in the table; stderr
+// names the sweep, cell, seed and message of each one.  Here k > n makes
+// the placement itself fail.
+TEST(FleetE2E, ErroredReplicatesAreNamedOnStderr) {
+  const std::string dir = testDir("replicate_error");
+  ASSERT_EQ(exitCode(std::string(DISP_BENCH_BIN) +
+                     " scenario --graphs=path:n=4 --ks=8 --placements=rooted"
+                     " --seeds=1,2 > " +
+                     dir + "/out.txt 2> " + dir + "/err.txt"),
+            0);
+  const std::string err = slurp(dir + "/err.txt");
+  for (const char* algo : {"general_sync", "general_async"}) {
+    for (const char* seed : {"1", "2"}) {
+      const std::string want = std::string("replicate error: sweep=scenario graph=path:n=4 "
+                                           "k=8 placement=rooted sched=round_robin algo=") +
+                               algo + " faults=none seed=" + seed +
+                               ": precondition failed";
+      EXPECT_NE(err.find(want), std::string::npos) << want << "\n" << err;
+    }
+  }
+  EXPECT_NE(slurp(dir + "/out.txt").find("| NO "), std::string::npos);
+}
+
 TEST(FleetE2E, EmptyShardExitsWithTheDistinctCode) {
   const std::string dir = testDir("empty_shard");
   // 4 cells under --shard=5/6: indices 0..3 mod 6 never hit 5.

@@ -7,6 +7,7 @@
 
 #include "algo/general_sync.hpp"
 #include "algo/placement.hpp"
+#include "algo/runner.hpp"
 #include "core/metrics.hpp"
 #include "graph/generators.hpp"
 #include "graph/spec.hpp"
@@ -152,6 +153,25 @@ TEST(GeneralSync, Seed3GridFrozenAbsorbRegression) {
   RunOut run(g, 64, 8, 3);
   EXPECT_TRUE(run.algo.dispersed());
   EXPECT_EQ(run.engine.settledCount(), 64u);
+}
+
+TEST(GeneralSync, RescanMeetingIsNotDiscarded) {
+  // Regression: a meeting discovered by the root-exhausted rescan used to
+  // be thrown away — the group fiber re-probed the stopping node, clearing
+  // probeMet_ and finding nothing on the exhausted `checked` counter, so
+  // the group rescanned forever and the engine hit its round cap (k=32
+  // seed 1 and k=64 seed 9 below).
+  for (const std::uint32_t k : {32u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      RunOptions opts;
+      opts.algorithm = "general_sync";
+      opts.seed = seed;
+      RunResult r;
+      EXPECT_NO_THROW(r = runScenario("randtree", "clusters:l=8", k, opts))
+          << "k=" << k << " seed " << seed;
+      EXPECT_TRUE(r.dispersed) << "k=" << k << " seed " << seed;
+    }
+  }
 }
 
 TEST(GeneralSync, MemoryLogarithmic) {
