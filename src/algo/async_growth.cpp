@@ -118,6 +118,7 @@ void AsyncGrowth::observeAndRecruit(AgentIx self) {
   }
   if (settler != kNoAgent) {
     st_[settler].orderGuestGoTo = engine_.pinOf(self);  // route to w
+    engine_.signal(settler);
     st_[settler].isGuest = true;
     proberIdx_.insert(settler, ui);  // guests are prober-eligible
   }
@@ -259,6 +260,7 @@ Task AsyncGrowth::probePhase(Label label, AgentIx self) {
         selfPort = port;  // drafted last among equals: it has the max ID
       } else {
         st_[avail[i]].orderProbePort = port;
+        engine_.signal(avail[i]);
       }
     }
     if (selfPort != kNoPort) co_await leaderProbeTrip(self, selfPort);
@@ -303,6 +305,8 @@ Task AsyncGrowth::seeOffPhase(Label label, AgentIx self) {
       const AgentIx g = guests.front();
       st_[aw].orderEscort = st_[g].guestEntryPort;
       st_[g].orderGoHome = true;
+      engine_.signal(aw);
+      engine_.signal(g);
       // Wait until the guest is gone and the settler is back *with its
       // escort order consumed*.  Without the order check the guest can walk
       // home on its own before the settler ever leaves, the leader would
@@ -328,6 +332,8 @@ Task AsyncGrowth::seeOffPhase(Label label, AgentIx self) {
       const AgentIx gBack = guests[2 * i + 1];
       st_[gBack].orderChaperone = st_[gHome].guestEntryPort;
       st_[gHome].orderGoHome = true;
+      engine_.signal(gBack);
+      engine_.signal(gHome);
     }
     while (st_[aw].seeOffReturned != st_[aw].seeOffExpected) {
       co_await engine_.nextActivation(self);

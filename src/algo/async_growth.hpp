@@ -18,7 +18,9 @@
 // Coordination is strictly local: the leader writes orders into
 // co-located agents' memory; transient probe counters live on the settler
 // of the current node (always present), so probers can report even while
-// the leader is itself out probing.
+// the leader is itself out probing.  Idle participants park
+// (AsyncEngine::park), so every order written into another agent's memory
+// is followed by engine_.signal for that agent.
 //
 // The unit takes one protocol-dependent input, the probe cap: Async_Probe
 // at w covers ports 1..min(δ(w), probeCap).  RootedAsyncDisp probes every
@@ -100,7 +102,7 @@ class AsyncGrowth {
   }
 
   /// True iff agent `a` has an order to carry out; participant fibers call
-  /// participantStep only then, so idle activations allocate no frame.
+  /// participantStep only then, and park while it is false.
   [[nodiscard]] bool hasOrder(AgentIx a) const;
   /// Carries out `self`'s pending order (probe errand, report, guest trip,
   /// registration, see-off, follow).  May span several activations;

@@ -48,14 +48,23 @@ void RootedAsyncDispersion::settle(AgentIx a, Port parentPort) {
 
 Task RootedAsyncDispersion::participantFiber(AgentIx self) {
   for (;;) {
-    co_await engine_.nextActivation(self);
+    // Idle: park until an order's signal (a pending report or registration
+    // is an order of the agent's own, due next activation).
+    if (hasOrder(self)) {
+      co_await engine_.nextActivation(self);
+    } else {
+      co_await engine_.park(self);
+    }
     if (hasOrder(self)) co_await participantStep(self);
   }
 }
 
 Task RootedAsyncDispersion::moveGroup(AgentIx self, Port p) {
   for (const AgentIx a : engine_.agentsAt(engine_.positionOf(self))) {
-    if (!st_[a].settled && a != self) st_[a].orderFollow = p;
+    if (!st_[a].settled && a != self) {
+      st_[a].orderFollow = p;
+      engine_.signal(a);
+    }
   }
   engine_.move(self, p);
   co_await engine_.nextActivation(self);

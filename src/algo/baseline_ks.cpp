@@ -146,10 +146,13 @@ void KsAsyncDispersion::recordMemory() {
 }
 
 Task KsAsyncDispersion::followerFiber(AgentIx self) {
+  AgentState& me = st_[self];
   for (;;) {
-    co_await engine_.nextActivation(self);
-    AgentState& me = st_[self];
-    if (me.settled) continue;  // settlers idle (they answer reads passively)
+    // Every order is carried out on the activation it wakes, so the loop
+    // always parks until orderGroupMove signals the next one.  Settlers get
+    // none: they park for good (they answer reads passively).
+    co_await engine_.park(self);
+    if (me.settled) continue;
     if (me.orderPort != kNoPort) {
       const Port p = me.orderPort;
       me.orderPort = kNoPort;
@@ -165,6 +168,7 @@ void KsAsyncDispersion::orderGroupMove(AgentIx self, Port p, bool usePin) {
   for (const AgentIx a : engine_.agentsAt(here)) {
     if (a == self || st_[a].settled) continue;
     st_[a].orderPort = usePin ? engine_.pinOf(a) : p;
+    engine_.signal(a);
   }
 }
 

@@ -67,7 +67,15 @@ bool GeneralAsyncDispersion::groupConsolidatedAt(Label label, NodeId v) const {
 
 Task GeneralAsyncDispersion::agentFiber(AgentIx self) {
   for (;;) {
-    co_await engine_.nextActivation(self);
+    // Idle (no lead to take, no anchor duty, no order): park until a
+    // handoff or an order signals us.
+    const bool idle =
+        leadQueued_[self] == kNoGroup && anchorOf_[self] == kNoGroup && !hasOrder(self);
+    if (idle) {
+      co_await engine_.park(self);
+    } else {
+      co_await engine_.nextActivation(self);
+    }
     if (leadQueued_[self] != kNoGroup) {
       const std::uint32_t gi = leadQueued_[self];
       leadQueued_[self] = kNoGroup;
@@ -118,6 +126,7 @@ void GeneralAsyncDispersion::dormantDuties(AgentIx self) {
     DISP_CHECK(fresh != kNoAgent, "no co-located candidate for leader handoff");
     setLeader(gi, fresh);
     leadQueued_[fresh] = gi;
+    engine_.signal(fresh);
     anchorOf_[self] = kNoGroup;
     ++stats_.handoffs;
   }
@@ -132,6 +141,7 @@ Task GeneralAsyncDispersion::moveGroup(std::uint32_t gi, Port p) {
   for (const AgentIx a : engine_.agentsAt(w)) {
     if (a != self && !st_[a].settled && st_[a].label == ctx.label) {
       st_[a].orderFollow = p;
+      engine_.signal(a);
     }
   }
   engine_.move(self, p);

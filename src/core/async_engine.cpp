@@ -21,6 +21,12 @@ StepAwait AsyncEngine::nextActivation(AgentIx a) {
   return StepAwait{&fibers_[a].slot};
 }
 
+StepAwait AsyncEngine::park(AgentIx a) {
+  DISP_CHECK(a == current_, "agent parked outside its own turn");
+  fibers_[a].parked = true;
+  return StepAwait{&fibers_[a].slot};
+}
+
 void AsyncEngine::move(AgentIx a, Port p) {
   DISP_CHECK(a == current_, "only the activated agent may move");
   DISP_CHECK(!inSetup_, "no moves before the first activation (time starts at t=0)");
@@ -93,19 +99,29 @@ void AsyncEngine::run(std::uint64_t maxActivations) {
     const AgentIx a = scheduler_->next();
     DISP_CHECK(a < agentCount(), "scheduler returned bad agent");
 
-    // Dispatch is hoisted behind the armed() check: an activation of an
-    // agent whose fiber already returned (it keeps being scheduled until
-    // finish()) skips the resume bookkeeping entirely but still counts
-    // toward the epoch, exactly as before.  Crashed agents are likewise
-    // scheduled-but-not-resumed: their activations keep counting toward
-    // epochs, so crash-stop cannot freeze time.
+    // Only an armed, unparked, uncrashed fiber is resumed.  An agent whose
+    // fiber already returned (it keeps being scheduled until finish()), a
+    // parked agent nobody has signaled, and a crashed agent all skip the
+    // resume, but the activation still counts toward the epoch below: time
+    // is the scheduler's, so parking cannot change epochs and crash-stop
+    // cannot freeze them.
     FiberState& fiber = fibers_[a];
     if (fiber.slot.armed() && !(faults_ != nullptr && faults_->crashed(a))) {
-      current_ = a;
-      movedThisActivation_ = false;
-      fiber.slot.take().resume();
-      current_ = kNoAgent;
-      if (fiber.task.done()) fiber.task.rethrowIfFailed();
+      if (!fiber.parked) {
+        ++resumes_;
+        resume(a);
+      } else {
+#ifndef NDEBUG
+        // Missed-signal cross-check: resume the parked agent anyway.  With
+        // every order signaled, its state is what it parked on, so it must
+        // make no move and park again; otherwise a signal is missing.
+        fiber.parked = false;
+        resume(a);
+        DISP_DCHECK(!movedThisActivation_, "a parked agent moved: missing signal()");
+        DISP_DCHECK(fiber.task.done() || fiber.parked,
+                    "a parked agent did not park again: missing signal()");
+#endif
+      }
     }
 
     ++activations_;
@@ -149,6 +165,15 @@ void AsyncEngine::run(std::uint64_t maxActivations) {
                      [this](std::vector<NodeId>& v) {
                        for (AgentIx b = 0; b < agentCount(); ++b) v[b] = positionOf(b);
                      });
+}
+
+void AsyncEngine::resume(AgentIx a) {
+  FiberState& fiber = fibers_[a];
+  current_ = a;
+  movedThisActivation_ = false;
+  fiber.slot.take().resume();
+  current_ = kNoAgent;
+  if (fiber.task.done()) fiber.task.rethrowIfFailed();
 }
 
 std::vector<NodeId> AsyncEngine::positionsSnapshot() const {

@@ -10,8 +10,12 @@
 //
 // Protocol code runs in one fiber per agent: a loop of
 // `co_await engine.nextActivation(a)` punctuated by at most one
-// `engine.move(a, port)` per activation.  A protocol signals global
-// termination via `engine.finish()` (e.g. when the last leader settles).
+// `engine.move(a, port)` per activation.  An agent with nothing to do
+// `co_await engine.park(a)`s instead: its activations keep being drawn and
+// counted, but its fiber is not resumed until another agent writes it an
+// order and calls `engine.signal(a)` (DESIGN.md §6.1).  A protocol signals
+// global termination via `engine.finish()` (e.g. when the last leader
+// settles).
 
 #include <cstdint>
 #include <functional>
@@ -51,6 +55,9 @@ class alignas(64) AsyncEngine {
   [[nodiscard]] std::uint32_t countAt(NodeId v) const { return world_.countAt(v); }
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
   [[nodiscard]] std::uint64_t activations() const noexcept { return activations_; }
+  /// Activations that resumed a fiber (the rest found it parked, crashed
+  /// or finished).
+  [[nodiscard]] std::uint64_t resumes() const noexcept { return resumes_; }
   [[nodiscard]] std::uint64_t totalMoves() const noexcept { return world_.totalMoves(); }
   [[nodiscard]] MemoryLedger& memory() noexcept { return memory_; }
 
@@ -82,8 +89,18 @@ class alignas(64) AsyncEngine {
   }
 
   // --- protocol-side API (only valid inside fibers) ---
-  /// Awaitable: parks agent `a` until the scheduler activates it again.
+  /// Awaitable: suspends agent `a` until the scheduler activates it again.
   [[nodiscard]] StepAwait nextActivation(AgentIx a);
+
+  /// Awaitable: like nextActivation, but `a`'s later activations are
+  /// counted without resuming it until signal(a).  For idle loops only:
+  /// whatever could give `a` work must signal it.  Choose between park and
+  /// nextActivation with if/else: GCC 12 evaluates both arms of a `?:`
+  /// co_await operand, which would park `a` either way.
+  [[nodiscard]] StepAwait park(AgentIx a);
+  /// Wakes a parked agent `b`: its next scheduled activation resumes it.
+  /// Harmless when `b` is not parked.
+  void signal(AgentIx b) { fibers_[b].parked = false; }
 
   /// Moves agent `a` through port `p` now.  At most one move per activation
   /// (enforced); only the currently activated agent may move.
@@ -132,7 +149,11 @@ class alignas(64) AsyncEngine {
     Task task;
     ResumeSlot slot;
     bool started = false;
+    bool parked = false;  ///< see park(); fits the struct's padding
   };
+
+  /// Resumes `a`'s fiber for the current activation.
+  void resume(AgentIx a);
 
   World world_;
   MemoryLedger memory_;
@@ -140,6 +161,7 @@ class alignas(64) AsyncEngine {
   std::vector<FiberState> fibers_;
   std::uint64_t epochs_ = 0;
   std::uint64_t activations_ = 0;
+  std::uint64_t resumes_ = 0;
   // Epoch-stamp accounting: lastActiveStamp_[a] is the value epochStamp_
   // held when agent a last completed a cycle; agents with a stale stamp
   // have not yet been active in the current epoch.  Stamps start at 0 and

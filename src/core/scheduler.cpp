@@ -15,7 +15,11 @@ namespace {
 class RoundRobin final : public Scheduler {
  public:
   explicit RoundRobin(std::uint32_t k) : k_(k) {}
-  std::uint32_t next() override { return std::exchange(cursor_, (cursor_ + 1) % k_); }
+  std::uint32_t next() override {
+    const std::uint32_t a = cursor_;
+    if (++cursor_ == k_) cursor_ = 0;
+    return a;
+  }
   std::string name() const override { return "round_robin"; }
 
  private:
@@ -46,12 +50,16 @@ class ShuffledSweeps final : public Scheduler {
 
 class Uniform final : public Scheduler {
  public:
-  Uniform(std::uint32_t k, std::uint64_t seed) : k_(k), rng_(seed) {}
-  std::uint32_t next() override { return static_cast<std::uint32_t>(rng_.below(k_)); }
+  Uniform(std::uint32_t k, std::uint64_t seed)
+      : k_(k), threshold_(Rng::rejectionThreshold(k)), rng_(seed) {}
+  std::uint32_t next() override {
+    return static_cast<std::uint32_t>(rng_.below(k_, threshold_));
+  }
   std::string name() const override { return "uniform"; }
 
  private:
-  std::uint32_t k_;
+  std::uint64_t k_;
+  std::uint64_t threshold_;
   Rng rng_;
 };
 
@@ -70,15 +78,17 @@ class Weighted final : public Scheduler {
       const std::uint32_t copies = slow[a] ? 1 : skew;
       for (std::uint32_t c = 0; c < copies; ++c) pool_.push_back(a);
     }
+    threshold_ = Rng::rejectionThreshold(pool_.size());
   }
   std::uint32_t next() override {
-    return pool_[static_cast<std::size_t>(rng_.below(pool_.size()))];
+    return pool_[static_cast<std::size_t>(rng_.below(pool_.size(), threshold_))];
   }
   std::string name() const override { return "weighted"; }
 
  private:
   Rng rng_;
   std::vector<std::uint32_t> pool_;
+  std::uint64_t threshold_ = 0;
 };
 
 }  // namespace

@@ -98,7 +98,11 @@ void benchTable1AsyncRooted(BenchContext& ctx) {
         const Cell& a = res.at({family, k, "rooted", sched, "rooted_async"});
         const Cell& b = res.at({family, k, "rooted", sched, "ks_async"});
         if (!a.ran() || !b.ran()) continue;  // outside this --shard
-        if (!a.allDispersed() || !b.allDispersed()) continue;
+        if (!a.allDispersed() || !b.allDispersed()) {
+          ctx.out << "!! undispersed case " << family << " k=" << k << " sched=" << sched
+                  << "\n";
+          continue;
+        }
         const double lg = std::log2(double(k));
         const double ksBound =
             std::min<double>(double(a.first().edges),
@@ -198,7 +202,12 @@ void benchTable1AsyncGeneral(BenchContext& ctx) {
         const std::string l = PlacementSpec::parse(place).tableLabel();
         for (const std::string& sched : spec.schedulers) {
           const Cell& r = res.at({family, k, place, sched, "general_async"});
-          if (!r.allDispersed()) continue;
+          if (!r.ran()) continue;  // outside this --shard
+          if (!r.allDispersed()) {
+            ctx.out << "!! undispersed case " << family << " k=" << k << " l=" << l
+                    << " sched=" << sched << "\n";
+            continue;
+          }
           const double lg = std::log2(double(k));
           t.row()
               .cell(family)
@@ -249,7 +258,11 @@ void benchTable1Memory(BenchContext& ctx) {
     for (const std::string& family : spec.graphs) {
       for (const std::uint32_t k : spec.ks) {
         const Cell& r = res.at({family, k, place, "round_robin", algo});
-        if (!r.allDispersed()) continue;
+        if (!r.ran()) continue;  // outside this --shard
+        if (!r.allDispersed()) {
+          ctx.out << "!! undispersed case " << algo << " " << family << " k=" << k << "\n";
+          continue;
+        }
         const double lg = std::log2(double(k) + double(r.first().maxDegree));
         t.row()
             .cell(algorithmDisplayName(algo))

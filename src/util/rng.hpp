@@ -51,8 +51,18 @@ class Rng {
   /// Uniform integer in [0, bound).  bound must be positive.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) {
     DISP_REQUIRE(bound > 0, "bound must be positive");
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;  // (2^64 - bound) mod bound
+    return below(bound, rejectionThreshold(bound));
+  }
+
+  /// (2^64 - bound) mod bound: draws under it are rejected to avoid modulo
+  /// bias.  Callers drawing many times from one bound compute it once.
+  [[nodiscard]] static constexpr std::uint64_t rejectionThreshold(
+      std::uint64_t bound) noexcept {
+    return (~bound + 1) % bound;
+  }
+
+  /// below(bound) with its threshold precomputed: the same draws.
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound, std::uint64_t threshold) noexcept {
     for (;;) {
       const std::uint64_t r = (*this)();
       if (r >= threshold) return r % bound;

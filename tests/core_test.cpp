@@ -8,6 +8,7 @@
 
 #include "algo/placement.hpp"
 #include "core/async_engine.hpp"
+#include "core/faults.hpp"
 #include "core/fiber.hpp"
 #include "core/memory.hpp"
 #include "core/metrics.hpp"
@@ -253,6 +254,123 @@ TEST(AsyncEngine, ActivationCapGuardsNonTermination) {
   AsyncEngine e(g, {0}, seqIds(1), makeRoundRobinScheduler(1));
   e.setAgentFiber(0, asyncWalk(e, 0, 2, false));  // never calls finish()
   EXPECT_THROW(e.run(500), std::runtime_error);
+}
+
+// Agent program for the park/signal tests: parks while `order` is unset;
+// woken, it consumes the order, notes the activation index in `wakes` and
+// steps right.
+Task parkedMover(AsyncEngine& e, AgentIx a, bool& order,
+                 std::vector<std::uint64_t>& wakes) {
+  for (;;) {
+    if (order) {
+      co_await e.nextActivation(a);
+    } else {
+      co_await e.park(a);
+    }
+    if (order) {
+      order = false;
+      wakes.push_back(e.activations());
+      e.move(a, e.positionOf(a) == 0 ? 1 : 2);
+    }
+  }
+}
+
+// Agent program: on its first activation with index >= `signalAt`, sets
+// `order` and signals agent `target`; finishes the run at activation index
+// `stopAt`.
+Task signaler(AsyncEngine& e, AgentIx a, AgentIx target, std::uint64_t signalAt,
+              std::uint64_t stopAt, bool& order) {
+  bool sent = false;
+  for (;;) {
+    co_await e.nextActivation(a);
+    if (!sent && e.activations() >= signalAt) {
+      sent = order = true;
+      e.signal(target);
+    }
+    if (e.activations() >= stopAt) e.finish();
+  }
+}
+
+TEST(AsyncEngine, ParkedAgentsStillCloseEpochs) {
+  // Agent 0 parks at t = 0 and is never signaled: its activations are
+  // counted but never resume it, and epochs close exactly as when it polled.
+  const Graph g = makePath(8).build();
+  AsyncEngine e(g, {0, 0}, seqIds(2), makeRoundRobinScheduler(2));
+  bool never = false;
+  std::vector<std::uint64_t> wakes;
+  e.setAgentFiber(0, parkedMover(e, 0, never, wakes));
+  e.setAgentFiber(1, asyncWalk(e, 1, 6, true));
+  e.run(10000);
+  EXPECT_TRUE(wakes.empty());
+  EXPECT_EQ(e.positionOf(0), 0u);
+  EXPECT_EQ(e.positionOf(1), 6u);
+  EXPECT_EQ(e.activations(), 12u);
+  EXPECT_EQ(e.epochs(), 6u);  // as RoundRobinEpochsMatchSweeps
+  EXPECT_EQ(e.resumes(), 6u);  // agent 1's turns only
+}
+
+TEST(AsyncEngine, SignalBeforeNextTurnResumesOnThatTurn) {
+  // Round robin: agent 0 owns even activation indices, agent 1 odd ones.
+  // Agent 1 signals at index 5, so agent 0 wakes at index 6 — its very
+  // next turn — and never before.
+  const Graph g = makePath(8).build();
+  AsyncEngine e(g, {0, 0}, seqIds(2), makeRoundRobinScheduler(2));
+  bool order = false;
+  std::vector<std::uint64_t> wakes;
+  e.setAgentFiber(0, parkedMover(e, 0, order, wakes));
+  e.setAgentFiber(1, signaler(e, 1, 0, 5, 11, order));
+  e.run(10000);
+  ASSERT_EQ(wakes.size(), 1u);
+  EXPECT_EQ(wakes[0], 6u);
+  EXPECT_EQ(e.positionOf(0), 1u);
+  EXPECT_EQ(e.activations(), 12u);
+  EXPECT_EQ(e.epochs(), 6u);
+  EXPECT_EQ(e.resumes(), 6u + 1u);  // agent 1's six turns + one wake-up
+}
+
+TEST(AsyncEngine, CrashedParkedAgentWaitsForRestartAndSignal) {
+  // A schedule under which agent 0 alone crashes (at C) and restarts (at R).
+  const Graph g = makePath(8).build();
+  const FaultSpec spec = FaultSpec::parse("crash:rate=0.5,restart=8,window=8");
+  std::uint64_t seed = 1, crashAt = 0, restartAt = 0;
+  for (;; ++seed) {
+    ASSERT_LT(seed, 1000u) << "no schedule crashes agent 0 alone";
+    const FaultInjector probe(spec, g, 2, seed, /*async=*/true);
+    const auto& sched = probe.schedule();
+    if (sched.size() == 2 && sched[0].agent == 0 && sched[1].agent == 0) {
+      crashAt = sched[0].time;
+      restartAt = sched[1].time;
+      break;
+    }
+  }
+  ASSERT_GT(restartAt, crashAt + 2);
+  const std::uint64_t stopAt = restartAt + 8;
+
+  for (const bool signaled : {false, true}) {
+    AsyncEngine e(g, {0, 0}, seqIds(2), makeRoundRobinScheduler(2));
+    FaultInjector faults(spec, g, 2, seed, /*async=*/true);
+    e.installFaults(&faults);
+    bool order = false;
+    std::vector<std::uint64_t> wakes;
+    e.setAgentFiber(0, parkedMover(e, 0, order, wakes));
+    // Signal while agent 0 is down (or, unsignaled, never).
+    e.setAgentFiber(1, signaler(e, 1, 0, signaled ? crashAt + 1 : stopAt + 1, stopAt,
+                                order));
+    e.run(10000);
+    const std::uint64_t agentOneTurns = (e.activations() + 1) / 2;
+    if (!signaled) {
+      // Restarted but unsignaled: never resumed.
+      EXPECT_TRUE(wakes.empty());
+      EXPECT_EQ(e.resumes(), agentOneTurns);
+      continue;
+    }
+    // Signaled while crashed: not resumed until its first turn after the
+    // restart, and then exactly once.
+    ASSERT_EQ(wakes.size(), 1u);
+    const std::uint64_t firstTurnAfterRestart = restartAt + (restartAt % 2);
+    EXPECT_EQ(wakes[0], firstTurnAfterRestart);
+    EXPECT_EQ(e.resumes(), agentOneTurns + 1);
+  }
 }
 
 // ------------------------------------------------------------- schedulers

@@ -755,6 +755,23 @@ TEST(FleetE2E, ErroredReplicatesAreNamedOnStderr) {
   EXPECT_NE(slurp(dir + "/out.txt").find("| NO "), std::string::npos);
 }
 
+// An undispersed cell is named in the table output, never silently
+// dropped.  The cell is the known general_async failure (two groups settle
+// on one node; see ROADMAP): path, k=128, clusters:l=32, weighted, seed 7.
+TEST(FleetE2E, UndispersedAsyncCellsArePrinted) {
+  const std::string dir = testDir("undispersed");
+  ASSERT_EQ(exitCode(std::string(DISP_BENCH_BIN) +
+                     " table1_async_general --graphs=path --ks=128"
+                     " --placements=clusters:l=32 --seeds=7 > " +
+                     dir + "/out.txt 2> " + dir + "/err.txt"),
+            0);
+  const std::string out = slurp(dir + "/out.txt");
+  EXPECT_NE(out.find("!! undispersed case path k=128 l=32 sched=weighted"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("| path   | 128 | 32 | uniform "), std::string::npos) << out;
+}
+
 TEST(FleetE2E, EmptyShardExitsWithTheDistinctCode) {
   const std::string dir = testDir("empty_shard");
   // 4 cells under --shard=5/6: indices 0..3 mod 6 never hit 5.

@@ -4,15 +4,22 @@
 //    a naive reference model — positions, pins, sorted agentsAt() views,
 //    O(1) counts and totalMoves must match after every step;
 //  * an AsyncEngine epoch regression pinned to the values the epoch-stamp
-//    accounting must reproduce exactly (epochs are simulation facts).
+//    accounting must reproduce exactly (epochs are simulation facts);
+//  * a resume budget: idle ASYNC agents park instead of polling, so fibers
+//    are resumed on at most a tenth of the activations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <vector>
 
+#include "algo/async_rooted.hpp"
+#include "algo/baseline_ks.hpp"
+#include "algo/general_async.hpp"
 #include "algo/placement.hpp"
 #include "algo/runner.hpp"
+#include "core/async_engine.hpp"
+#include "core/scheduler.hpp"
 #include "core/world.hpp"
 #include "graph/generators.hpp"
 #include "graph/spec.hpp"
@@ -171,6 +178,46 @@ TEST(AsyncEpochRegression, EpochStampAccountingMatchesPinnedValues) {
     EXPECT_EQ(r.activations, c.activations) << what;
     EXPECT_EQ(r.totalMoves, c.moves) << what;
     EXPECT_EQ(r.maxMemoryBits, c.maxMemoryBits) << what;
+  }
+}
+
+// --------------------------------------------- resume budget
+
+// Every move needs a resume, so the resumes that matter are the idle ones
+// (resumes - moves): those are capped at a tenth of the activations under
+// every scheduler.  Under the sampled schedulers (uniform, weighted), where
+// most activations fall on agents with nothing to do, the total is capped
+// too; under round_robin KS moves on ~40% of activations, so only the idle
+// cap applies there.
+template <class Algo>
+void expectFewResumes(const char* what, const Graph& g, const Placement& p,
+                      const std::string& sched) {
+  AsyncEngine engine(g, p.positions, p.ids,
+                     makeSchedulerByName(sched, static_cast<std::uint32_t>(p.ids.size()), 3));
+  Algo algo(engine);
+  algo.start();
+  engine.run(/*maxActivations=*/200000000ULL);
+  ASSERT_TRUE(algo.dispersed()) << what << " " << sched;
+  const std::string counts = std::string(what) + " " + sched + ": " +
+                             std::to_string(engine.resumes()) + " resumes, " +
+                             std::to_string(engine.totalMoves()) + " moves, " +
+                             std::to_string(engine.activations()) + " activations";
+  ASSERT_GE(engine.resumes(), engine.totalMoves()) << counts;
+  EXPECT_LE(engine.resumes() - engine.totalMoves(), engine.activations() / 10) << counts;
+  if (sched != "round_robin" && sched != "shuffled") {
+    EXPECT_LE(engine.resumes(), engine.activations() / 10) << counts;
+  }
+}
+
+TEST(AsyncResumeBudget, IdleAgentsParkInsteadOfPolling) {
+  constexpr std::uint32_t k = 256;
+  const Graph g = makeGraph("er", 2 * k, 5);
+  const Placement rooted = rootedPlacement(g, k, 0, 5);
+  const Placement clusters = clusteredPlacement(g, k, 8, 5);
+  for (const std::string sched : {"round_robin", "shuffled", "uniform", "weighted"}) {
+    expectFewResumes<RootedAsyncDispersion>("rooted_async", g, rooted, sched);
+    expectFewResumes<GeneralAsyncDispersion>("general_async l=8", g, clusters, sched);
+    expectFewResumes<KsAsyncDispersion>("ks_async", g, rooted, sched);
   }
 }
 

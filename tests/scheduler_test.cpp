@@ -101,6 +101,44 @@ TEST(Scheduler, DefaultWeightedMatchesHistoricalEightXOnAgentZero) {
   for (int i = 0; i < 10000; ++i) EXPECT_EQ(a->next(), b->next());
 }
 
+// FNV-1a over the first `draws` picks: a fingerprint of a policy's whole
+// activation sequence.
+std::uint64_t drawHash(Scheduler& sched, std::uint64_t draws) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t t = 0; t < draws; ++t) {
+    h ^= sched.next();
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  std::uint32_t k;
+  std::uint64_t hash;
+};
+
+// Every recorded ASYNC fact (BENCH_table1.json, the fault scorecard, the
+// benchmark reference) is a function of these sequences, so a faster draw
+// must reproduce them exactly.  k = 509 (prime) exercises the cursor wrap
+// and rejection bounds a power of two would not.
+TEST(Scheduler, DrawSequencesMatchGoldenHashes) {
+  const std::vector<GoldenCase> cases{
+      {"round_robin", 512, 14364965002063064389ULL},
+      {"uniform", 512, 10801720519518935484ULL},
+      {"shuffled", 512, 1011779478151377351ULL},
+      {"weighted", 512, 9119638929087011900ULL},
+      {"weighted:4", 512, 43338284651952051ULL},
+      {"round_robin", 509, 2985582005038184041ULL},
+      {"uniform", 509, 10491920366524159809ULL},
+      {"weighted:3:7", 509, 4898619319704441754ULL},
+  };
+  for (const GoldenCase& c : cases) {
+    const auto sched = makeSchedulerByName(c.name, c.k, /*seed=*/7);
+    EXPECT_EQ(drawHash(*sched, 100000), c.hash) << c.name << " k=" << c.k;
+  }
+}
+
 TEST(Scheduler, RejectsMalformedNames) {
   EXPECT_THROW((void)makeSchedulerByName("weighted:", 4, 1), std::invalid_argument);
   EXPECT_THROW((void)makeSchedulerByName("weighted:0", 4, 1), std::invalid_argument);
