@@ -63,32 +63,41 @@ void AsyncGrowth::markSettled(AgentIx a, NodeId at, Port parentPort) {
   proberIdx_.erase(a);  // settlers stop being prober-eligible
 }
 
-const std::vector<AgentIx>& AsyncGrowth::availableProbersAt(NodeId w, Label label) const {
+const std::vector<AgentIx>& AsyncGrowth::availableProbersAt(NodeId w, Label label,
+                                                           Port want) const {
   // A(w) \ {α(w)}: own-label unsettled agents and guest helpers, idle (no
-  // pending orders), ascending by ID so the leader is drafted as late as
-  // its ID allows.  The index bucket already holds exactly the followers
-  // and guests at w; the label and the fast-changing order flags are
-  // filtered here (DESIGN.md §9).  Scratch reuse is safe: every caller
-  // consumes the list before its next co_await (single-threaded engine),
-  // so no interleaved call clobbers it.
+  // pending orders).  Only the first min(|A|, want) are drafted, so only
+  // they are ordered, ascending by ID so the leader is drafted as late as
+  // its ID allows; IDs are unique, so the draft equals that of a full sort.
+  // The index bucket already holds exactly the followers and guests at w;
+  // the label and the fast-changing order flags are filtered here (DESIGN.md
+  // §9).  Scratch reuse is safe: every caller consumes the list before its
+  // next co_await (single-threaded engine), so no interleaved call clobbers
+  // it.
   const auto idle = [&](AgentIx a) { return st_[a].label == label && !hasOrder(a); };
+  const auto byId = [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); };
   std::vector<AgentIx>& avail = probersScratch_;
   avail.clear();
   for (const AgentIx a : proberIdx_.membersAt(w)) {
     if (idle(a)) avail.push_back(a);
   }
-  std::sort(avail.begin(), avail.end(),
-            [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
+  const auto drafted = static_cast<std::ptrdiff_t>(
+      std::min<std::size_t>(avail.size(), want));
+  std::partial_sort(avail.begin(), avail.begin() + drafted, avail.end(), byId);
 #ifndef NDEBUG
-  // Cross-check the index against the naive occupant scan it replaced.
+  // Cross-check the index against the naive occupant scan it replaced: the
+  // same members, and the drafted prefix is the naive list's sorted prefix.
   std::vector<AgentIx> naive;
   for (const AgentIx a : engine_.agentsAt(w)) {
     const AgentState& s = st_[a];
     if ((!s.settled || s.isGuest) && idle(a)) naive.push_back(a);
   }
-  std::sort(naive.begin(), naive.end(),
-            [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
-  DISP_CHECK(avail == naive, "IdleProberIndex drifted from the world");
+  std::sort(naive.begin(), naive.end(), byId);
+  std::vector<AgentIx> all = avail;
+  std::sort(all.begin(), all.end(), byId);
+  DISP_CHECK(all == naive, "IdleProberIndex drifted from the world");
+  DISP_CHECK(std::equal(avail.begin(), avail.begin() + drafted, naive.begin()),
+             "probe draft is not the lowest IDs in order");
 #endif
   return avail;
 }
@@ -241,7 +250,7 @@ Task AsyncGrowth::probePhase(Label label, AgentIx self) {
     AgentState& bb = st_[aw];
     if (bb.checked >= limit) break;  // exhausted: probeNext_ stays ⊥
 
-    const auto& avail = availableProbersAt(w, label);
+    const auto& avail = availableProbersAt(w, label, limit - bb.checked);
     DISP_CHECK(!avail.empty(), "Async_Probe with no available agents");
     const Port delta = static_cast<Port>(std::min<std::uint32_t>(
         static_cast<std::uint32_t>(avail.size()), limit - bb.checked));

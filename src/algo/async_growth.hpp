@@ -147,8 +147,10 @@ class AsyncGrowth {
   /// settler (the prober is back at w).
   void deliverReport(AgentIx self);
   Task leaderProbeTrip(AgentIx self, Port port);  // the leader probes itself
-  [[nodiscard]] const std::vector<AgentIx>& availableProbersAt(NodeId w,
-                                                               Label label) const;
+  /// The available probers at w; the first min(size, want) are the
+  /// lowest IDs in ascending order, the rest are in no particular order.
+  [[nodiscard]] const std::vector<AgentIx>& availableProbersAt(NodeId w, Label label,
+                                                               Port want) const;
 
   AsyncGrowthStats& growthStats_;
   std::uint32_t probeCap_;

@@ -109,8 +109,6 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
       if (st_[a].label != ctx.label) continue;
       if (!st_[a].settled || st_[a].isGuest) avail.push_back(a);
     }
-    std::sort(avail.begin(), avail.end(),
-              [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
     if (avail.empty()) {
       std::string diag = "probe without available agents: label=" +
                          std::to_string(ctx.label) +
@@ -127,6 +125,10 @@ Task GeneralSyncDispersion::probeStep(std::uint32_t gi) {
     }
     const Port delta = static_cast<Port>(std::min<std::uint32_t>(
         static_cast<std::uint32_t>(avail.size()), limit - st_[aw].checked));
+    // Only the delta lowest IDs are drafted, in ascending order; IDs are
+    // unique, so this is the draft a full sort would give.
+    std::partial_sort(avail.begin(), avail.begin() + delta, avail.end(),
+                      [&](AgentIx a, AgentIx b) { return engine_.idOf(a) < engine_.idOf(b); });
     ++stats_.probeIterations;
 
     // Out (one round): prober i takes port checked+1+i.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <queue>
 #include <set>
 #include <stdexcept>
 
@@ -418,23 +417,22 @@ GraphBuilder makeExpander(std::uint32_t n, std::uint32_t d, std::uint64_t seed) 
 bool isConnected(const Graph& g) {
   const std::uint32_t n = g.nodeCount();
   if (n == 0) return true;
+  // Flat BFS frontier: every node is appended at most once, so the
+  // vector itself is the queue and `head` walks it.
   std::vector<std::uint8_t> seen(n, 0);
-  std::queue<NodeId> q;
-  q.push(0);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  order.push_back(0);
   seen[0] = 1;
-  std::uint32_t visited = 1;
-  while (!q.empty()) {
-    const NodeId v = q.front();
-    q.pop();
-    for (const NodeId u : g.neighbors(v)) {
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const NodeId u : g.neighbors(order[head])) {
       if (!seen[u]) {
         seen[u] = 1;
-        ++visited;
-        q.push(u);
+        order.push_back(u);
       }
     }
   }
-  return visited == n;
+  return order.size() == n;
 }
 
 }  // namespace disp

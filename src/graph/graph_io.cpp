@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -31,21 +30,96 @@ namespace {
   fail(source + ":" + std::to_string(line), why);
 }
 
+/// Appends decimal digit `d` to `v`.  Overflow saturates to ULLONG_MAX
+/// (the historical strtoull behavior); once saturated, v stays above the
+/// cut, so it stays ULLONG_MAX.
+std::uint64_t appendDigit(std::uint64_t v, unsigned d) {
+  constexpr std::uint64_t kCut = ULLONG_MAX / 10;
+  constexpr unsigned kCutDigit = ULLONG_MAX % 10;
+  return (v > kCut || (v == kCut && d > kCutDigit)) ? ULLONG_MAX : v * 10 + d;
+}
+
+/// The digit value of `c`; above 9 for every non-digit.
+unsigned digitOf(char c) {
+  return static_cast<unsigned>(static_cast<unsigned char>(c)) - unsigned{'0'};
+}
+
 /// Strict unsigned parse of one token; nullopt on anything non-numeric.
-/// Overflow saturates to ULLONG_MAX (the historical strtoull behavior).
+/// One pass: each character is checked and accumulated in the same step.
 std::optional<std::uint64_t> parseId(std::string_view tok) {
   if (tok.empty()) return std::nullopt;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') return std::nullopt;
-  }
   std::uint64_t v = 0;
-  const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (res.ec == std::errc::result_out_of_range) return ULLONG_MAX;
-  if (res.ec != std::errc() || res.ptr != tok.data() + tok.size()) {
-    return std::nullopt;
+  for (const char c : tok) {
+    const unsigned d = digitOf(c);
+    if (d > 9) return std::nullopt;
+    v = appendDigit(v, d);
   }
   return v;
 }
+
+/// Raw vertex id -> NodeId, defined once for both streaming loaders.
+/// Built from `idOf` (idOf[v] is the raw id of NodeId v).  When the ids
+/// span fewer than 2x their count, lookups index a direct NodeId table by
+/// `id - minId` (kInvalidNode marks holes; at most 8 bytes per vertex);
+/// otherwise they binary-search the sorted ids.  Every generated or
+/// LDBC-style id space is dense, and there a lookup is one cache miss
+/// instead of ~log2(n).
+class IdRemap {
+ public:
+  /// nullopt if two NodeIds share a raw id.
+  static std::optional<IdRemap> of(std::vector<std::uint64_t> idOf) {
+    IdRemap r;
+    const auto n = static_cast<std::uint64_t>(idOf.size());
+    if (n == 0) return r;
+    const auto [lo, hi] = std::minmax_element(idOf.begin(), idOf.end());
+    if (*hi - *lo < 2 * n - 1) {  // span = hi - lo + 1 < 2n, overflow-free
+      r.minId_ = *lo;
+      r.direct_.assign(*hi - *lo + 1, kInvalidNode);
+      for (NodeId v = 0; v < n; ++v) {
+        NodeId& slot = r.direct_[idOf[v] - r.minId_];
+        if (slot != kInvalidNode) return std::nullopt;
+        slot = v;
+      }
+      return r;
+    }
+    if (std::is_sorted(idOf.begin(), idOf.end())) {  // NodeId = rank
+      if (std::adjacent_find(idOf.begin(), idOf.end()) != idOf.end()) {
+        return std::nullopt;
+      }
+      r.ids_ = std::move(idOf);
+      return r;
+    }
+    std::vector<std::pair<std::uint64_t, NodeId>> sorted(idOf.size());
+    for (NodeId v = 0; v < n; ++v) sorted[v] = {idOf[v], v};
+    std::sort(sorted.begin(), sorted.end());
+    r.nodes_.resize(sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (i > 0 && sorted[i].first == sorted[i - 1].first) return std::nullopt;
+      idOf[i] = sorted[i].first;
+      r.nodes_[i] = sorted[i].second;
+    }
+    r.ids_ = std::move(idOf);
+    return r;
+  }
+
+  /// The NodeId of `id`, or kInvalidNode if no vertex has it.
+  [[nodiscard]] NodeId operator()(std::uint64_t id) const noexcept {
+    if (!direct_.empty()) {
+      const std::uint64_t off = id - minId_;  // wraps past the end below minId_
+      return off < direct_.size() ? direct_[off] : kInvalidNode;
+    }
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    if (it == ids_.end() || *it != id) return kInvalidNode;
+    const auto i = static_cast<std::size_t>(it - ids_.begin());
+    return nodes_.empty() ? static_cast<NodeId>(i) : nodes_[i];
+  }
+
+ private:
+  std::uint64_t minId_ = 0;
+  std::vector<NodeId> direct_;     // dense: NodeId of minId_ + i
+  std::vector<std::uint64_t> ids_;  // sparse: the ids, ascending
+  std::vector<NodeId> nodes_;      // sparse: NodeId of ids_[i] (empty: i)
+};
 
 // ---------------------------------------------------------------------------
 // Streaming line scanner: reads the stream in 1 MiB chunks and yields
@@ -111,29 +185,43 @@ class LineScanner {
 };
 
 /// Matches the whitespace set `istream >> std::string` splits on.
+/// The set is ' ' and the contiguous '\t' '\n' '\v' '\f' '\r' (9..13).
 bool isSpaceChar(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
-         c == '\f';
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
 }
 
 /// Up to 5 whitespace-separated tokens of a line; count caps at 5, which
-/// keeps every exact-arity check (2, 3 or 4 tokens) meaningful.
+/// keeps every exact-arity check (2, 3 or 4 tokens) meaningful.  `id[i]`
+/// is parseId(tok[i]) for the first two tokens (nullopt when absent),
+/// computed while splitting.
 struct Tokens {
   std::string_view tok[5];
   std::size_t count = 0;
+  std::optional<std::uint64_t> id[2];
 };
 
+/// One pass over the line: splits it and parses the first two tokens.
 Tokens splitLine(std::string_view line) {
   Tokens t;
-  std::size_t i = 0;
-  const std::size_t len = line.size();
-  while (i < len && t.count < 5) {
-    while (i < len && isSpaceChar(line[i])) ++i;
-    if (i >= len) break;
-    std::size_t j = i;
-    while (j < len && !isSpaceChar(line[j])) ++j;
-    t.tok[t.count++] = line.substr(i, j - i);
-    i = j;
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (t.count < 5) {
+    while (p != end && isSpaceChar(*p)) ++p;
+    if (p == end) break;
+    const char* const start = p;
+    if (t.count < 2) {
+      std::uint64_t v = 0;
+      bool digits = true;
+      for (; p != end && !isSpaceChar(*p); ++p) {
+        const unsigned d = digitOf(*p);
+        digits = digits && d <= 9;
+        v = appendDigit(v, d);  // meaningless unless every char is a digit
+      }
+      if (digits) t.id[t.count] = v;
+    } else {
+      while (p != end && !isSpaceChar(*p)) ++p;
+    }
+    t.tok[t.count++] = std::string_view(start, static_cast<std::size_t>(p - start));
   }
   return t;
 }
@@ -164,12 +252,10 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 /// Cold path: a duplicate edge was detected on the sorted rows.  Rescans
 /// the source with the historical per-line set so the error names the same
-/// line and tokens the old single-pass loaders reported.  `mapKey` turns a
-/// validated edge line into the dedup key (raw or remapped, normalized).
-template <typename MapKey>
-[[noreturn]] void reportDuplicateEdge(std::istream& is,
-                                      const std::string& source,
-                                      MapKey mapKey) {
+/// line and tokens the old single-pass loaders reported.  The key is the
+/// normalized pair of raw ids: both remaps are bijections on the ids that
+/// occur, so raw pairs collide exactly when remapped ones do.
+[[noreturn]] void reportDuplicateEdge(std::istream& is, const std::string& source) {
   rewind(is, source);
   LineScanner sc(is);
   std::string_view line;
@@ -177,7 +263,9 @@ template <typename MapKey>
   while (sc.next(line)) {
     const Tokens toks = splitLine(line);
     if (isCommentOrBlank(toks)) continue;
-    if (!seen.insert(mapKey(toks)).second) {
+    const std::uint64_t a = *toks.id[0];
+    const std::uint64_t b = *toks.id[1];
+    if (!seen.insert(std::minmax(a, b)).second) {
       failAt(source, sc.lineNo(),
              "duplicate edge " + std::string(toks.tok[0]) + " " +
                  std::string(toks.tok[1]));
@@ -189,16 +277,15 @@ template <typename MapKey>
 
 /// Shared tail of the port-free formats, streaming edition: sorts the
 /// as-written directed pairs into the canonical (u, v) order, rejects
-/// duplicates (delegating the error message to `reportDuplicate`, which
-/// rescans the source to name the offending line), then feeds the two-pass
+/// duplicates (rescanning `is`, the edge source, to name the offending
+/// line), then feeds the two-pass
 /// CSR builder.  Ports are per-node arrival order over the sorted stream —
 /// exactly the deterministic insertion-order labeling the historical
 /// edge-vector path produced — and connectivity is checked last.  Peak
 /// transient memory: the 8-byte pairs plus the CSR itself.
 Graph buildFromMappedPairs(std::uint32_t n,
                            std::vector<std::pair<NodeId, NodeId>> pairs,
-                           const std::string& source,
-                           const std::function<void()>& reportDuplicate) {
+                           std::istream& is, const std::string& source) {
   std::sort(pairs.begin(), pairs.end());
   bool dup = std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end();
   if (!dup) {
@@ -212,7 +299,7 @@ Graph buildFromMappedPairs(std::uint32_t n,
       }
     }
   }
-  if (dup) reportDuplicate();  // rescans and throws with the line number
+  if (dup) reportDuplicateEdge(is, source);
 
   TwoPassBuilder b(n);
   for (const auto& [u, v] : pairs) b.countEdge(u, v);
@@ -366,8 +453,8 @@ Graph readEdgeList(std::istream& is, const std::string& source) {
       if (toks.count != 2) {
         failAt(source, sc.lineNo(), "want '<u> <v>' per edge line");
       }
-      const auto u = parseId(toks.tok[0]);
-      const auto v = parseId(toks.tok[1]);
+      const auto& u = toks.id[0];
+      const auto& v = toks.id[1];
       if (!u || !v) {
         failAt(source, sc.lineNo(),
                "non-numeric node id '" +
@@ -397,64 +484,47 @@ Graph readEdgeList(std::istream& is, const std::string& source) {
 
   // Pass two: remap the (possibly sparse) ids to 0..n-1 in sorted-id order
   // — the historical contract — keeping the as-written direction.
-  rewind(is, source);
+  const auto n = static_cast<std::uint32_t>(ids.size());
   std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(m);
-  const auto indexOf = [&ids](std::uint64_t id) {
-    return static_cast<NodeId>(
-        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
-  };
   {
+    const IdRemap remap = *IdRemap::of(std::move(ids));  // distinct by unique()
+    rewind(is, source);
+    pairs.reserve(m);
     LineScanner sc(is);
     std::string_view line;
     while (sc.next(line)) {
       const Tokens toks = splitLine(line);
       if (isCommentOrBlank(toks)) continue;
-      pairs.emplace_back(indexOf(*parseId(toks.tok[0])),
-                         indexOf(*parseId(toks.tok[1])));
+      pairs.emplace_back(remap(*toks.id[0]), remap(*toks.id[1]));
     }
   }
-  const auto n = static_cast<std::uint32_t>(ids.size());
-  ids.clear();
-  ids.shrink_to_fit();
-  return buildFromMappedPairs(
-      n, std::move(pairs), source, [&is, &source] {
-        reportDuplicateEdge(is, source, [](const Tokens& toks) {
-          const std::uint64_t a = *parseId(toks.tok[0]);
-          const std::uint64_t b = *parseId(toks.tok[1]);
-          return std::pair<std::uint64_t, std::uint64_t>(std::min(a, b),
-                                                         std::max(a, b));
-        });
-      });
+  return buildFromMappedPairs(n, std::move(pairs), is, source);
 }
 
 Graph readGraphalytics(std::istream& vs, std::istream& es,
                        const std::string& vSource, const std::string& eSource) {
   // One streamed pass over the .v file; a vertex's NodeId is its id-line
-  // order, as before.  The (id, NodeId) table is then sorted once for
-  // binary-search lookups instead of a std::map's per-node allocations.
-  std::vector<std::pair<std::uint64_t, NodeId>> lookup;
+  // order, as before.
+  std::vector<std::uint64_t> idOf;
   {
     LineScanner sc(vs);
     std::string_view line;
     while (sc.next(line)) {
       const Tokens toks = splitLine(line);
       if (isCommentOrBlank(toks)) continue;
-      const auto id = parseId(toks.tok[0]);
+      const auto& id = toks.id[0];
       if (!id) {
         failAt(vSource, sc.lineNo(),
                "non-numeric vertex id '" + std::string(toks.tok[0]) + "'");
       }
-      lookup.emplace_back(*id, static_cast<NodeId>(lookup.size()));
+      idOf.push_back(*id);
     }
   }
-  if (lookup.empty()) fail(vSource, "no vertices");
-  DISP_REQUIRE(lookup.size() <= 0xffffffffULL, "too many vertices in " + vSource);
-  std::sort(lookup.begin(), lookup.end());
-  if (std::adjacent_find(lookup.begin(), lookup.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first == b.first;
-                         }) != lookup.end()) {
+  if (idOf.empty()) fail(vSource, "no vertices");
+  DISP_REQUIRE(idOf.size() <= 0xffffffffULL, "too many vertices in " + vSource);
+  const auto n = static_cast<std::uint32_t>(idOf.size());
+  std::optional<IdRemap> remap = IdRemap::of(std::move(idOf));
+  if (!remap) {
     // Cold path: rescan with the historical per-line set so the error
     // names the second occurrence's line, exactly as before.
     rewind(vs, vSource);
@@ -464,23 +534,13 @@ Graph readGraphalytics(std::istream& vs, std::istream& es,
     while (sc.next(line)) {
       const Tokens toks = splitLine(line);
       if (isCommentOrBlank(toks)) continue;
-      if (!seen.insert(*parseId(toks.tok[0])).second) {
+      if (!seen.insert(*toks.id[0]).second) {
         failAt(vSource, sc.lineNo(),
                "duplicate vertex id " + std::string(toks.tok[0]));
       }
     }
     DISP_CHECK(false, vSource + ": duplicate vertex id vanished on rescan");
   }
-  const auto mapId = [&lookup](std::uint64_t id) {
-    const auto it = std::lower_bound(
-        lookup.begin(), lookup.end(), id,
-        [](const std::pair<std::uint64_t, NodeId>& e, std::uint64_t key) {
-          return e.first < key;
-        });
-    return (it != lookup.end() && it->first == id)
-               ? std::optional<NodeId>(it->second)
-               : std::nullopt;
-  };
 
   // One streamed pass over the .e file straight into mapped pairs.
   std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -495,15 +555,13 @@ Graph readGraphalytics(std::istream& vs, std::istream& es,
       }
       NodeId mapped[2];
       for (int i = 0; i < 2; ++i) {
-        const auto id = parseId(toks.tok[static_cast<std::size_t>(i)]);
-        const auto at = id ? mapId(*id) : std::nullopt;
-        if (!at) {
+        const std::string_view tok = toks.tok[static_cast<std::size_t>(i)];
+        const auto& id = toks.id[i];
+        mapped[i] = id ? (*remap)(*id) : kInvalidNode;
+        if (mapped[i] == kInvalidNode) {
           failAt(eSource, sc.lineNo(),
-                 "unknown vertex id '" +
-                     std::string(toks.tok[static_cast<std::size_t>(i)]) +
-                     "' (not in " + vSource + ")");
+                 "unknown vertex id '" + std::string(tok) + "' (not in " + vSource + ")");
         }
-        mapped[i] = *at;
       }
       if (mapped[0] == mapped[1]) {
         failAt(eSource, sc.lineNo(),
@@ -512,17 +570,9 @@ Graph readGraphalytics(std::istream& vs, std::istream& es,
       pairs.emplace_back(mapped[0], mapped[1]);
     }
   }
+  remap.reset();  // the CSR build below needs only the mapped pairs
   DISP_REQUIRE(pairs.size() <= 0x7fffffffULL, "too many edges in " + eSource);
-  const auto n = static_cast<std::uint32_t>(lookup.size());
-  return buildFromMappedPairs(
-      n, std::move(pairs), eSource, [&es, &eSource, &mapId] {
-        reportDuplicateEdge(es, eSource, [&mapId](const Tokens& toks) {
-          const NodeId a = *mapId(*parseId(toks.tok[0]));
-          const NodeId b = *mapId(*parseId(toks.tok[1]));
-          return std::pair<std::uint64_t, std::uint64_t>(std::min(a, b),
-                                                         std::max(a, b));
-        });
-      });
+  return buildFromMappedPairs(n, std::move(pairs), es, eSource);
 }
 
 namespace {

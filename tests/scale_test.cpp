@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/mem.hpp"
@@ -143,6 +145,123 @@ TEST(GraphIo, EdgeListRejectsDuplicatesInBothOrientations) {
   EXPECT_THROW((void)readEdgeList(same, "s.el"), std::invalid_argument);
   std::stringstream flipped("0 1\n1 2\n1 0\n");
   EXPECT_THROW((void)readEdgeList(flipped, "f.el"), std::invalid_argument);
+}
+
+// The loaders remap raw ids through a direct table when the ids span fewer
+// than 2x their count and through a sorted table otherwise; both must give
+// the same graphs and the same errors.  Id spaces used below: 0..n-1 and
+// 2^40 + v are dense, 3v + 7 and 1000v + 7 are sparse.
+using IdMap = std::uint64_t (*)(NodeId);
+constexpr IdMap kIdMaps[] = {
+    [](NodeId v) { return std::uint64_t{v}; },
+    [](NodeId v) { return (std::uint64_t{1} << 40) + v; },
+    [](NodeId v) { return 3 * std::uint64_t{v} + 7; },
+    [](NodeId v) { return 1000 * std::uint64_t{v} + 7; },
+};
+
+// `g` as a Graphalytics pair whose .v lists the vertices in `order`, and as
+// a plain edge list, every id written as `id(v)`.
+struct IdText {
+  std::string v, e;
+};
+IdText writeWithIds(const Graph& g, const std::vector<NodeId>& order, IdMap id) {
+  IdText t;
+  for (const NodeId v : order) t.v += std::to_string(id(v)) + "\n";
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    for (const NodeId u : g.neighbors(v)) {
+      if (v < u) t.e += std::to_string(id(v)) + " " + std::to_string(id(u)) + "\n";
+    }
+  }
+  return t;
+}
+
+Graph loadGraphalyticsText(const IdText& t) {
+  std::stringstream vs(t.v), es(t.e);
+  return readGraphalytics(vs, es, "ids.v", "ids.e");
+}
+
+TEST(GraphIo, DenseShiftedAndSparseIdsLoadToTheSameGraph) {
+  const Graph g = makeGraph("ba:n=300,d=3", 0, 4, PortLabeling::InsertionOrder);
+  std::vector<NodeId> ascending(g.nodeCount()), shuffled(g.nodeCount());
+  for (NodeId v = 0; v < g.nodeCount(); ++v) {
+    ascending[v] = v;
+    shuffled[v] = (v * 7919) % g.nodeCount();  // 7919 is prime: a permutation
+  }
+  // Graphalytics NodeIds follow the .v line order; edge-list NodeIds follow
+  // the sorted ids.  Every id map is increasing, so each order gives one
+  // graph across all maps, and the ascending .v matches the edge list.
+  const Graph ref = loadGraphalyticsText(writeWithIds(g, ascending, kIdMaps[0]));
+  const Graph refShuffled = loadGraphalyticsText(writeWithIds(g, shuffled, kIdMaps[0]));
+  EXPECT_EQ(ref.nodeCount(), g.nodeCount());
+  EXPECT_EQ(ref.edgeCount(), g.edgeCount());
+  for (std::size_t i = 0; i < std::size(kIdMaps); ++i) {
+    SCOPED_TRACE("id map " + std::to_string(i));
+    const IdText t = writeWithIds(g, ascending, kIdMaps[i]);
+    expectSameLabeledGraph(ref, loadGraphalyticsText(t));
+    expectSameLabeledGraph(refShuffled,
+                           loadGraphalyticsText(writeWithIds(g, shuffled, kIdMaps[i])));
+    std::stringstream el(t.e);
+    expectSameLabeledGraph(ref, readEdgeList(el, "ids.el"));
+  }
+}
+
+// The message of the std::invalid_argument `load` throws.
+template <typename Load>
+std::string errorOf(Load load) {
+  try {
+    (void)load();
+  } catch (const std::invalid_argument& err) {
+    return err.what();
+  }
+  return "no error";
+}
+
+TEST(GraphIo, UnknownAndDuplicateIdErrorsAreTheSameInBothRemapModes) {
+  const auto graphalytics = [](const std::string& v, const std::string& e) {
+    return errorOf([&] {
+      std::stringstream vs(v), es(e);
+      return readGraphalytics(vs, es, "ids.v", "ids.e");
+    });
+  };
+  const auto edgeList = [](const std::string& e) {
+    return errorOf([&] {
+      std::stringstream es(e);
+      return readEdgeList(es, "ids.el");
+    });
+  };
+  struct IdSpace {
+    std::string v;        // the .v file
+    std::string chain;    // a path over all its ids, 6 edge lines
+    std::string b;        // a known id other than 10
+    std::string flipped;  // the third chain edge, reversed, with a leading 00
+  };
+  // Dense: 7 ids span 10..21 (12 < 2x7), holes at 12, 15 and 17..19.
+  // Sparse: 7 ids 10, 20, ..., 70 span 61 >= 2x7.
+  const IdSpace spaces[] = {
+      {"10\n11\n13\n14\n16\n20\n21\n", "10 11\n11 13\n13 14\n14 16\n16 20\n20 21\n", "11",
+       "14 0013"},
+      {"10\n20\n30\n40\n50\n60\n70\n", "10 20\n20 30\n30 40\n40 50\n50 60\n60 70\n", "20",
+       "40 0030"},
+  };
+  // Below the minimum, in a hole, just past and far above either maximum,
+  // and an overflowing id (saturated to 2^64-1).
+  const std::string unknownIds[] = {"3", "9", "15", "22", "71", "9999",
+                                    "99999999999999999999999"};
+  for (const IdSpace& sp : spaces) {
+    SCOPED_TRACE(sp.v);
+    for (const std::string& bad : unknownIds) {
+      const std::string message = "ids.e:2: unknown vertex id '" + bad + "' (not in ids.v)";
+      EXPECT_EQ(graphalytics(sp.v, "10 " + sp.b + "\n10 " + bad + " 1.5\n"), message);
+      EXPECT_EQ(graphalytics(sp.v, "# c\n" + bad + " 10\n"), message);
+    }
+    EXPECT_EQ(graphalytics(sp.v, sp.chain + "0010 10\n"), "ids.e:7: self-loop at id 0010");
+    // The second listing of 10 is written 0010: the error names that line
+    // and token.
+    EXPECT_EQ(graphalytics(sp.v + "0010\n", ""), "ids.v:8: duplicate vertex id 0010");
+    const std::string dup = sp.chain + "# c\n" + sp.flipped + "\n";
+    EXPECT_EQ(graphalytics(sp.v, dup), "ids.e:8: duplicate edge " + sp.flipped);
+    EXPECT_EQ(edgeList(dup), "ids.el:8: duplicate edge " + sp.flipped);
+  }
 }
 
 TEST(GraphIo, GraphalyticsWriterRoundTrips) {
