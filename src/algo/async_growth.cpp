@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/metrics.hpp"
+#include "algo/protocol_common.hpp"
 #include "util/check.hpp"
 
 namespace disp {
@@ -34,13 +34,10 @@ AsyncGrowth::AsyncGrowth(AsyncEngine& engine, std::uint32_t probeCap,
 }
 
 bool AsyncGrowth::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled || st_[a].isGuest) return false;
-    if (engine_.positionOf(a) != st_[a].settledAt) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
+  return allSettledApart(engine_, [this](AgentIx a) {
+    return st_[a].settled && !st_[a].isGuest &&
+           engine_.positionOf(a) == st_[a].settledAt;
+  });
 }
 
 AgentIx AsyncGrowth::homeSettlerAt(NodeId v, Label label) const {

@@ -28,12 +28,7 @@ KsSyncDispersion::KsSyncDispersion(SyncEngine& engine)
 void KsSyncDispersion::start() { engine_.addFiber(protocol()); }
 
 bool KsSyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
+  return allSettledApart(engine_, [this](AgentIx a) { return st_[a].settled; });
 }
 
 std::uint64_t KsSyncDispersion::agentBits(AgentIx a) const {
@@ -125,12 +120,7 @@ void KsAsyncDispersion::start() {
 }
 
 bool KsAsyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
+  return allSettledApart(engine_, [this](AgentIx a) { return st_[a].settled; });
 }
 
 std::uint64_t KsAsyncDispersion::agentBits(AgentIx a) const {

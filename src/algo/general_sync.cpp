@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "algo/protocol_common.hpp"
-#include "core/metrics.hpp"
 #include "util/check.hpp"
 
 namespace disp {
@@ -37,13 +36,10 @@ void GeneralSyncDispersion::start() {
 }
 
 bool GeneralSyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled || st_[a].isGuest) return false;
-    if (engine_.positionOf(a) != st_[a].settledAt) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
+  return allSettledApart(engine_, [this](AgentIx a) {
+    return st_[a].settled && !st_[a].isGuest &&
+           engine_.positionOf(a) == st_[a].settledAt;
+  });
 }
 
 std::uint64_t GeneralSyncDispersion::agentBits(AgentIx a) const {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/memory.hpp"
+#include "core/metrics.hpp"
 #include "core/world.hpp"
 #include "graph/graph.hpp"
 
@@ -50,6 +51,20 @@ template <typename Engine, typename Pred>
     if (best == kNoAgent || engine.idOf(a) > engine.idOf(best)) best = a;
   }
   return best;
+}
+
+/// The dispersed() verdict of every protocol: each agent passes
+/// `isSettledHome` (settled, plus whatever the protocol asks of a final
+/// settler) and no two agents share a node.
+template <typename Engine, typename Pred>
+[[nodiscard]] bool allSettledApart(const Engine& engine, Pred&& isSettledHome) {
+  std::vector<NodeId> where;
+  where.reserve(engine.agentCount());
+  for (AgentIx a = 0; a < engine.agentCount(); ++a) {
+    if (!isSettledHome(a)) return false;
+    where.push_back(engine.positionOf(a));
+  }
+  return isDispersed(where);
 }
 
 }  // namespace disp

@@ -56,12 +56,7 @@ void RootedSyncDispersion::start() {
 }
 
 bool RootedSyncDispersion::dispersed() const {
-  std::vector<NodeId> where;
-  for (AgentIx a = 0; a < engine_.agentCount(); ++a) {
-    if (!st_[a].settled) return false;
-    where.push_back(engine_.positionOf(a));
-  }
-  return isDispersed(where);
+  return allSettledApart(engine_, [this](AgentIx a) { return st_[a].settled; });
 }
 
 std::uint64_t RootedSyncDispersion::agentBits(AgentIx a) const {

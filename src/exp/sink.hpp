@@ -5,9 +5,9 @@
 // the historical binaries, byte for byte).  When a JSON-lines sink is
 // attached, each printed table row is mirrored as one JSON object whose
 // keys are the column headers and whose values are the rendered cell
-// strings — exactly the row dictionaries scripts/record_bench_baseline.sh
-// has always parsed out of the markdown, so BENCH_table1.json stays
-// format-compatible.  Growth-fit lines are mirrored as {"fit": ...}.
+// strings, led by the sweep name and table title.  Growth-fit lines are
+// mirrored as {"fit": ...}.  The committed BENCH_*.jsonl baselines are
+// exactly these lines (scripts/record_bench_baseline.sh).
 
 #include <array>
 #include <cstdint>

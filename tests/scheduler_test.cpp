@@ -118,7 +118,7 @@ struct GoldenCase {
   std::uint64_t hash;
 };
 
-// Every recorded ASYNC fact (BENCH_table1.json, the fault scorecard, the
+// Every recorded ASYNC fact (BENCH_table1.jsonl, BENCH_faults.jsonl, the
 // benchmark reference) is a function of these sequences, so a faster draw
 // must reproduce them exactly.  k = 509 (prime) exercises the cursor wrap
 // and rejection bounds a power of two would not.
